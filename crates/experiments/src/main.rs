@@ -18,7 +18,7 @@ const VALID_ARTIFACTS: [&str; 14] = [
 
 const USAGE: &str = "\
 usage: vcoma-experiments [ARTIFACT...] [--scale F] [--nodes N] [--jobs N]
-                         [--intra-jobs N] [--schemes LIST] [--out DIR]
+                         [--schemes LIST] [--out DIR]
                          [--materialized] [--breakdown] [--metrics-out FILE]
                          [--fault-plan SPEC] [--fault-seed S] [--trace-out FILE]
                          [--progress]
@@ -38,11 +38,6 @@ options:
   --nodes N          node count (default 32, the paper's machine)
   --jobs N           sweep worker threads (default: one per available core);
                      tables and CSVs are byte-identical for any value
-  --intra-jobs N     worker threads inside each simulation run (default 1,
-                     the serial replay loop; 0 = one per available core).
-                     N > 1 switches every run to the deterministic
-                     epoch-barrier scheduler; reports, tables and CSVs are
-                     byte-identical for any value
   --schemes LIST     comma-separated scheme keys to run, e.g.
                      l0_tlb,vcoma,victima (default: each artifact's full
                      roster). Applies to fig8, table5, breakdown, faults and
@@ -122,7 +117,6 @@ fn main() {
     let mut scale = 0.1f64;
     let mut nodes = 32u64;
     let mut jobs = 0usize;
-    let mut intra_jobs = 1usize;
     let mut materialized = false;
     let mut out: Option<PathBuf> = None;
     let mut want_breakdown = false;
@@ -163,9 +157,6 @@ fn main() {
                     eprintln!("error: --jobs must be at least 1 (omit the flag for one per core)");
                     std::process::exit(2);
                 }
-            }
-            "--intra-jobs" => {
-                intra_jobs = parse_flag("--intra-jobs", args.next());
             }
             "--schemes" => {
                 let spec = args.next().unwrap_or_else(|| {
@@ -276,8 +267,7 @@ fn main() {
     let machine = vcoma::MachineConfig::builder().nodes(nodes).build().expect("valid machine");
     let mut cfg = ExperimentConfig { machine, ..ExperimentConfig::new() }
         .with_scale(scale)
-        .with_jobs(jobs)
-        .with_intra_jobs(intra_jobs);
+        .with_jobs(jobs);
     if materialized {
         cfg = cfg.with_materialized();
     }
@@ -285,16 +275,9 @@ fn main() {
         cfg = cfg.with_schemes(set);
     }
     println!(
-        "machine: {} nodes, scale {scale}, {} sweep workers, {} intra-run workers, {} traces (paper geometry, paper timing)\n",
+        "machine: {} nodes, scale {scale}, {} sweep workers, {} traces (paper geometry, paper timing)\n",
         cfg.machine.nodes,
         cfg.effective_jobs(),
-        if cfg.intra_jobs == 1 {
-            "serial".to_string()
-        } else if cfg.intra_jobs == 0 {
-            "auto".to_string()
-        } else {
-            cfg.intra_jobs.to_string()
-        },
         if cfg.materialized { "materialized" } else { "streamed" }
     );
     // Fail unwritable destinations before any sweep runs, not after.
@@ -412,7 +395,6 @@ fn main() {
             sweep::BenchContext {
                 jobs: cfg.effective_jobs(),
                 nodes: cfg.machine.nodes,
-                intra_jobs: cfg.intra_jobs,
                 code_fingerprint: cache::code_fingerprint(),
             },
             &prior,

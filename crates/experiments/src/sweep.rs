@@ -246,16 +246,13 @@ where
 
 /// The run-wide context `BENCH_sweep.json` records next to the sweep
 /// stats, so a throughput figure is never separated from the machine
-/// size and worker counts that produced it.
+/// size and worker count that produced it.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchContext {
     /// Sweep worker threads (the resolved `--jobs` value).
     pub jobs: usize,
     /// Node count of the machine under test (`--nodes`).
     pub nodes: u64,
-    /// Intra-run worker threads (`--intra-jobs`; `1` = serial replay,
-    /// `0` = one per available core).
-    pub intra_jobs: usize,
     /// The process code fingerprint (see [`crate::cache::code_fingerprint`]):
     /// ties the recorded throughput to the code revision that produced
     /// it, and matches the fingerprint of any cache entries the run
@@ -368,7 +365,6 @@ pub fn bench_json(stats: &[SweepStats], ctx: BenchContext, prior: &[BenchHistory
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"jobs\": {},\n", ctx.jobs));
     out.push_str(&format!("  \"nodes\": {},\n", ctx.nodes));
-    out.push_str(&format!("  \"intra_jobs\": {},\n", ctx.intra_jobs));
     out.push_str(&format!("  \"code_fingerprint\": \"{}\",\n", ctx.code_fingerprint));
     out.push_str(&format!("  \"total_wall_seconds\": {total_wall:.6},\n"));
     out.push_str(&format!("  \"total_points\": {total_points},\n"));
@@ -527,14 +523,12 @@ mod tests {
             BenchContext {
                 jobs: 4,
                 nodes: 64,
-                intra_jobs: 8,
                 code_fingerprint: crate::cache::code_fingerprint(),
             },
             &[],
         );
         assert!(j.contains("\"sweeps\": ["));
         assert!(j.contains("\"nodes\": 64"));
-        assert!(j.contains("\"intra_jobs\": 8"));
         assert!(j.contains(&format!(
             "\"code_fingerprint\": \"{}\"",
             crate::cache::code_fingerprint()
@@ -561,7 +555,6 @@ mod tests {
         let ctx = BenchContext {
             jobs: 2,
             nodes: 32,
-            intra_jobs: 1,
             code_fingerprint: crate::cache::code_fingerprint(),
         };
         let older = vec![BenchHistoryEntry {

@@ -63,8 +63,6 @@ pub struct DaemonConfig {
     pub store_dir: PathBuf,
     /// Sweep worker threads per job (`0` = one per available core).
     pub jobs: usize,
-    /// Intra-run worker threads (`0` = one per core, `1` = serial).
-    pub intra_jobs: usize,
     /// Optional HTTP observation address (`--http`, e.g.
     /// `127.0.0.1:9188`); `None` means no HTTP port.
     pub http: Option<String>,
@@ -104,7 +102,6 @@ impl JobSpec {
         let mut cfg = ExperimentConfig { machine, ..ExperimentConfig::new() }
             .with_scale(self.scale)
             .with_jobs(daemon.jobs)
-            .with_intra_jobs(daemon.intra_jobs)
             .with_cache(store);
         cfg.seed = self.seed;
         if let Some(spec) = &self.schemes {

@@ -42,7 +42,6 @@ impl RunningDaemon {
             listen: endpoint.clone(),
             store_dir: store.to_path_buf(),
             jobs: 2,
-            intra_jobs: 1,
             http: None,
         };
         let daemon = Daemon::new(config).expect("open store");

@@ -59,10 +59,11 @@ impl Mergeable for TimeBreakdown {
 ///
 /// Every elapsed cycle of a node's simulated time lands in exactly one of
 /// these categories, so for any run `total() == node.time` — enforced by
-/// the conservation integration test. This refines [`TimeBreakdown`]:
-/// `busy`/`sync` match its categories, `tlb_walk + dlb_lookup` refines
-/// `translation`, and `coherence + network + queue` refines
-/// `remote_stall`.
+/// the conservation integration test. This is the simulator's only
+/// latency account; [`LatencyBreakdown::coarse`] projects it onto the
+/// paper's [`TimeBreakdown`]: `busy`, `sync` and `local_stall` carry over,
+/// `tlb_walk + dlb_lookup` refines `translation`, and
+/// `coherence + network + queue + fault` refines `remote_stall`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct LatencyBreakdown {
     /// Instruction execution (`Compute` ops plus one issue cycle per
@@ -123,6 +124,18 @@ impl LatencyBreakdown {
     /// Translation overhead (node TLB walks plus home DLB lookups).
     pub const fn translation(&self) -> u64 {
         self.tlb_walk + self.dlb_lookup
+    }
+
+    /// Projects the fine attribution onto the paper's coarse Figure-10
+    /// categories. Exact: `coarse().total() == total()`.
+    pub const fn coarse(&self) -> TimeBreakdown {
+        TimeBreakdown {
+            busy: self.busy,
+            sync: self.sync,
+            local_stall: self.local_stall,
+            remote_stall: self.coherence + self.network + self.queue + self.fault,
+            translation: self.translation(),
+        }
     }
 
     /// The category values in [`LATENCY_CATEGORIES`] order.
@@ -234,6 +247,17 @@ mod tests {
         };
         assert_eq!(fine.total(), 511);
         assert_eq!(fine.translation(), 12);
+        assert_eq!(
+            fine.coarse(),
+            TimeBreakdown {
+                busy: 1,
+                sync: 2,
+                local_stall: 16,
+                remote_stall: 480,
+                translation: 12,
+            }
+        );
+        assert_eq!(fine.coarse().total(), fine.total());
         assert_eq!(fine.as_array().iter().sum::<u64>(), fine.total());
         assert_eq!(fine.as_array().len(), LATENCY_CATEGORIES.len());
     }

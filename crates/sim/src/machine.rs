@@ -6,7 +6,7 @@ use crate::breakdown::LatencyBreakdown;
 use crate::error::SimError;
 use crate::sync::{Barriers, Locks};
 use crate::trace::Tracer;
-use crate::{SimConfig, SimReport, TimeBreakdown};
+use crate::{SimConfig, SimReport};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use vcoma_cachesim::{Flc, Slc};
@@ -28,30 +28,23 @@ const LOCK_ACQUIRE_COST: u64 = 32;
 const LOCK_RELEASE_COST: u64 = 16;
 
 /// Per-node simulation state.
-///
-/// `pub(crate)` (fields included) because the epoch-barrier engine in
-/// [`crate::epoch`] hands disjoint `&mut` chunks of the node array to
-/// shard workers. Aligned to 128 bytes (two cache lines, covering
-/// adjacent-line prefetchers) so neighbouring nodes never share a cache
-/// line when those workers mutate them concurrently.
 #[derive(Debug)]
-#[repr(align(128))]
-pub(crate) struct NodeCtx {
-    pub(crate) flc: Flc,
-    pub(crate) slc: Slc,
+struct NodeCtx {
+    flc: Flc,
+    slc: Slc,
     /// The node's translation model: its private TLB in `L0`–`L3` (and
     /// the post-1998 schemes), its home-side DLB in V-COMA. Built by the
     /// scheme's [`vcoma_tlb::SchemeSpec::build_model`]; owns the lookup,
     /// fill, shootdown and miss-latency schedule.
-    pub(crate) xlb: Box<dyn TranslationModel>,
-    pub(crate) time: u64,
-    pub(crate) breakdown: TimeBreakdown,
-    /// Fine latency attribution; every cycle of `time` lands in exactly
-    /// one of its categories (`fine.total() == time`).
-    pub(crate) fine: LatencyBreakdown,
-    pub(crate) refs: u64,
-    pub(crate) reads: u64,
-    pub(crate) writes: u64,
+    xlb: Box<dyn TranslationModel>,
+    time: u64,
+    /// The node's only latency account; every cycle of `time` lands in
+    /// exactly one of its categories (`fine.total() == time`). The report's
+    /// coarse breakdown is its [`LatencyBreakdown::coarse`] projection.
+    fine: LatencyBreakdown,
+    refs: u64,
+    reads: u64,
+    writes: u64,
 }
 
 /// Per-scheme hot-path decisions, precomputed once at machine build time.
@@ -123,14 +116,9 @@ pub struct Machine {
     cfg: SimConfig,
     /// Precomputed per-scheme hot-path decision table (see [`PathTable`]).
     path: PathTable,
-    pub(crate) nodes: Vec<NodeCtx>,
+    nodes: Vec<NodeCtx>,
     protocol: Protocol,
-    pub(crate) net: Crossbar,
-    /// Worker threads for intra-run epoch-barrier replay (`1` = the
-    /// classic serial event loop). An execution strategy, not part of
-    /// [`SimConfig`]: reports embed their config, and any worker count
-    /// must produce byte-identical reports.
-    pub(crate) intra_jobs: usize,
+    net: Crossbar,
     page_table: PageTable,
     phys_alloc: PhysAlloc,
     dir_alloc: DirectoryAllocator,
@@ -242,7 +230,6 @@ impl Machine {
                     page_size: m.page_size,
                 }),
                 time: 0,
-                breakdown: TimeBreakdown::default(),
                 fine: LatencyBreakdown::default(),
                 refs: 0,
                 reads: 0,
@@ -273,7 +260,6 @@ impl Machine {
             nodes,
             protocol,
             net,
-            intra_jobs: 1,
             page_table: PageTable::new(m.clone()),
             phys_alloc,
             dir_alloc: DirectoryAllocator::new(m),
@@ -290,27 +276,6 @@ impl Machine {
     /// The configuration this machine was built with.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
-    }
-
-    /// Sets the number of worker threads the replay engine may use
-    /// *inside* one run (`0` = one per available core, `1` = the classic
-    /// serial event loop, the default).
-    ///
-    /// With more than one worker the machine switches to the deterministic
-    /// epoch-barrier scheduler (see [`crate::epoch`]): nodes are split
-    /// into contiguous shards that advance independently up to the
-    /// conservative lookahead horizon — the minimum cross-node message
-    /// latency from the crossbar — with all cross-node work merged at an
-    /// epoch barrier in the canonical `(time, node)` order. The resulting
-    /// [`SimReport`] (metrics, fault decisions and trace spans included)
-    /// is byte-identical for **any** worker count.
-    pub fn with_intra_jobs(mut self, jobs: usize) -> Self {
-        self.intra_jobs = if jobs == 0 {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        } else {
-            jobs
-        };
-        self
     }
 
     /// Replays one trace per node to completion and reports statistics.
@@ -381,7 +346,6 @@ impl Machine {
     fn reset_stats(&mut self) {
         for n in &mut self.nodes {
             n.time = 0;
-            n.breakdown = TimeBreakdown::default();
             n.fine = LatencyBreakdown::default();
             n.refs = 0;
             n.reads = 0;
@@ -414,9 +378,6 @@ impl Machine {
     /// consumed, so "has this node finished?" is a local `Option` check and
     /// lazy sources are pulled exactly one op ahead of the replay point.
     fn replay<'a>(&mut self, sources: &mut [Box<dyn OpSource + 'a>]) -> Result<(), SimError> {
-        if self.intra_jobs > 1 {
-            return self.replay_epochs(sources, self.intra_jobs);
-        }
         let mut next_op: Vec<Option<Op>> = sources.iter_mut().map(|s| s.next_op()).collect();
         let mut done: Vec<bool> = next_op.iter().map(|o| o.is_none()).collect();
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
@@ -455,14 +416,11 @@ impl Machine {
     }
 
     /// Applies one op for node `n` at time `t`, appending every node it
-    /// resumes (with its resume time) to `resumes`. This is the single
-    /// op-application path shared by the serial event loop and the
-    /// epoch-barrier engine ([`crate::epoch`]): both must route every op
-    /// through here so the two schedules stay observably identical.
+    /// resumes (with its resume time) to `resumes`.
     ///
     /// The caller has already set `nodes[n].time = t` and is responsible
     /// for applying the resume times to the nodes' clocks.
-    pub(crate) fn step_op(
+    fn step_op(
         &mut self,
         n: usize,
         t: u64,
@@ -471,7 +429,6 @@ impl Machine {
     ) -> Result<(), SimError> {
         match op {
             Op::Compute(c) => {
-                self.nodes[n].breakdown.busy += c;
                 self.nodes[n].fine.busy += c;
                 resumes.push((n, t + c));
             }
@@ -486,7 +443,6 @@ impl Machine {
             Op::Barrier(id) => {
                 if let Some(released) = self.barriers.arrive(id, n, t) {
                     for (node, resume, sync) in released {
-                        self.nodes[node].breakdown.sync += sync;
                         self.nodes[node].fine.sync += sync;
                         resumes.push((node, resume));
                     }
@@ -494,18 +450,15 @@ impl Machine {
             }
             Op::Lock(id) => {
                 if let Some((resume, sync)) = self.locks.acquire(id, n, t) {
-                    self.nodes[n].breakdown.sync += sync;
                     self.nodes[n].fine.sync += sync;
                     resumes.push((n, resume));
                 }
             }
             Op::Unlock(id) => {
                 let ((resume, sync), next) = self.locks.release(id, n, t);
-                self.nodes[n].breakdown.sync += sync;
                 self.nodes[n].fine.sync += sync;
                 resumes.push((n, resume));
                 if let Some((waiter, wresume, wsync)) = next {
-                    self.nodes[waiter].breakdown.sync += wsync;
                     self.nodes[waiter].fine.sync += wsync;
                     resumes.push((waiter, wresume));
                 }
@@ -562,7 +515,7 @@ impl Machine {
 
         // Sampled tracing: the decision keys on the per-node reference
         // index *before* this reference bumps it, so which references are
-        // traced is independent of worker count and of tracing itself.
+        // traced is independent of tracing itself.
         if let Some(tr) = self.tracer.as_mut() {
             let class = match kind {
                 AccessKind::Read => "read",
@@ -574,7 +527,6 @@ impl Machine {
         // Issue cycle.
         {
             let node = &mut self.nodes[n];
-            node.breakdown.busy += 1;
             node.fine.busy += 1;
             t += 1;
             node.refs += 1;
@@ -632,7 +584,6 @@ impl Machine {
                 if x.missed {
                     let penalty = x.cycles;
                     t += penalty;
-                    self.nodes[n].breakdown.translation += penalty;
                     self.nodes[n].fine.tlb_walk += penalty;
                     self.metrics.trace(Event {
                         cycle: t,
@@ -648,7 +599,6 @@ impl Machine {
         }
         if slc_res.hit {
             t += timing.slc_hit;
-            self.nodes[n].breakdown.local_stall += timing.slc_hit;
             self.nodes[n].fine.local_stall += timing.slc_hit;
             if let Some(tr) = self.tracer.as_mut() {
                 tr.interval("slc", t - timing.slc_hit, t, slc_block);
@@ -672,7 +622,6 @@ impl Machine {
         if local_ok {
             if !slc_res.hit {
                 t += timing.am_hit;
-                self.nodes[n].breakdown.local_stall += timing.am_hit;
                 self.nodes[n].fine.local_stall += timing.am_hit;
                 if let Some(tr) = self.tracer.as_mut() {
                     tr.interval("am", t - timing.am_hit, t, am_block);
@@ -699,7 +648,6 @@ impl Machine {
         // exists (the transaction is then just an upgrade).
         if !slc_res.hit && had_local_copy {
             t += timing.am_hit;
-            self.nodes[n].breakdown.local_stall += timing.am_hit;
             self.nodes[n].fine.local_stall += timing.am_hit;
             if let Some(tr) = self.tracer.as_mut() {
                 tr.interval("am", t - timing.am_hit, t, am_block);
@@ -741,8 +689,6 @@ impl Machine {
         }
         {
             let node = &mut self.nodes[n];
-            node.breakdown.remote_stall += out.latency - out.home_lookup_cycles;
-            node.breakdown.translation += out.home_lookup_cycles;
             node.fine.dlb_lookup += out.home_lookup_cycles;
             node.fine.coherence += out.mem_cycles;
             node.fine.network += out.net_cycles;
@@ -824,7 +770,6 @@ impl Machine {
         let timing = cfg.timing;
         let t0 = self.nodes[n].time;
         let mut t = t0 + 1;
-        self.nodes[n].breakdown.busy += 1;
         self.nodes[n].fine.busy += 1;
         if self.path.virtual_protocol {
             self.ensure_directory_mapping(n, page)?;
@@ -847,7 +792,6 @@ impl Machine {
                 last_ack = last_ack.max(self.net.send(h, node_id, MsgKind::Ack, upd));
             }
             arrive = last_ack.max(self.net.send(home, node_id, MsgKind::Ack, arrive));
-            self.nodes[n].breakdown.translation += arrive - t;
             self.nodes[n].fine.dlb_lookup += arrive - t;
             self.metrics.trace(Event {
                 cycle: arrive,
@@ -865,7 +809,6 @@ impl Machine {
                 node.xlb.shootdown(page);
             }
             let cost = 2 * timing.net_request;
-            self.nodes[n].breakdown.translation += cost;
             self.nodes[n].fine.tlb_walk += cost;
             self.metrics.trace(Event {
                 cycle: t + cost,
@@ -1045,7 +988,6 @@ impl Machine {
         if x.missed {
             let penalty = x.cycles;
             *t += penalty;
-            self.nodes[n].breakdown.translation += penalty;
             self.nodes[n].fine.tlb_walk += penalty;
             self.metrics.trace(Event {
                 cycle: *t,
@@ -1089,7 +1031,7 @@ impl Machine {
                     .into_iter()
                     .map(|n| crate::report::NodeReport {
                         time: n.time,
-                        breakdown: n.breakdown,
+                        breakdown: n.fine.coarse(),
                         fine: n.fine,
                         refs: n.refs,
                         reads: n.reads,

@@ -14,7 +14,8 @@ use vcoma_vm::PressureProfile;
 pub struct NodeReport {
     /// The node's final local time.
     pub time: u64,
-    /// The node's time breakdown.
+    /// The node's time breakdown in the paper's coarse categories: the
+    /// simulator fills it with `fine.coarse()`.
     pub breakdown: TimeBreakdown,
     /// The node's fine-grained latency attribution; conserves cycles:
     /// `fine.total() == time`.

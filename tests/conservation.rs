@@ -74,9 +74,9 @@ fn fine_breakdown_conserves_every_cycle() {
                     ctx()
                 );
                 assert_eq!(
-                    n.fine.coherence + n.fine.network + n.fine.queue,
+                    n.fine.coherence + n.fine.network + n.fine.queue + n.fine.fault,
                     n.breakdown.remote_stall,
-                    "{}: coherence + network + queue must equal coarse remote stall",
+                    "{}: coherence + network + queue + fault must equal coarse remote stall",
                     ctx()
                 );
             }
@@ -96,6 +96,27 @@ fn fine_breakdown_conserves_every_cycle() {
             }
             // The contention-free paper model never queues at ports.
             assert_eq!(fine.queue, 0, "{} {scheme}: queueing without contention", w.name());
+        }
+    }
+}
+
+#[test]
+fn nonzero_flc_hit_time_is_conserved_in_both_breakdowns() {
+    // The paper charges zero for an FLC hit, so every shipped config
+    // leaves the time unexercised. A nonzero charge must land in coarse
+    // `local_stall` as well as in the fine account: both breakdowns still
+    // sum to the node's clock.
+    use vcoma::workloads::UniformRandom;
+    use vcoma::{MachineConfig, Timing};
+    let mut machine = MachineConfig::tiny();
+    machine.timing = Timing { flc_hit: 2, ..Timing::paper() };
+    let w = UniformRandom { pages: 32, refs_per_node: 300, write_fraction: 0.3 };
+    for scheme in all_schemes() {
+        let report = Simulator::new(scheme).machine(machine.clone()).run(&w);
+        for (i, n) in report.nodes().iter().enumerate() {
+            assert_eq!(n.time, n.breakdown.total(), "{scheme} node {i}: coarse breakdown");
+            assert_eq!(n.time, n.fine.total(), "{scheme} node {i}: fine breakdown");
+            assert!(n.breakdown.local_stall >= 2 * n.refs, "{scheme} node {i}");
         }
     }
 }

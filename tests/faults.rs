@@ -42,6 +42,11 @@ fn every_scheme_survives_a_lossy_crossbar_with_the_auditor_armed() {
         );
         // And recovery time is attributed to its own latency category.
         assert!(report.aggregate_fine().fault > 0, "{scheme}");
+        // The coarse breakdown still conserves every cycle with recovery
+        // time folded into its remote stall.
+        for (i, n) in report.nodes().iter().enumerate() {
+            assert_eq!(n.time, n.breakdown.total(), "{scheme} node {i}");
+        }
     }
 }
 
