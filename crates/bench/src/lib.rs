@@ -52,22 +52,39 @@ pub mod micro {
         VPage,
     };
 
-    /// Pages in the TLB kernel's working set: 1.5x the TLB's capacity,
-    /// so the stream mixes hits, capacity misses, and refills.
-    const TLB_WORKING_SET: usize = 96;
+    /// Lookups per TLB kernel run in the `hotpath_micro` bench.
+    pub const TLB_ITERS: u64 = 200_000;
 
-    /// Random lookups against a 64-entry fully-associative TLB.
-    /// Returns hits plus misses (equal to `iters`, but computed from the
-    /// TLB's own counters so the loop cannot be elided).
+    /// Random lookups against a 64-entry fully-associative TLB (see
+    /// [`fa_lookup`]).
     pub fn tlb_lookup(iters: u64) -> u64 {
-        let mut tlb = Tlb::new(64, TlbOrg::FullyAssociative, 7);
+        fa_lookup(64, iters)
+    }
+
+    /// Random lookups against a 512-entry fully-associative TLB, the
+    /// largest size of the Figure-8 sweep (see [`fa_lookup`]).
+    pub fn tlb_lookup_fa512(iters: u64) -> u64 {
+        fa_lookup(512, iters)
+    }
+
+    /// Random lookups against an `entries`-entry fully-associative TLB
+    /// over a working set 1.5x its capacity, so the stream mixes hits,
+    /// capacity misses and refills; every 64th lookup also shoots its page
+    /// down. Returns the TLB's miss count: it depends on every victim the
+    /// random replacement draws and on the slot order shootdowns leave,
+    /// so it pins both (and the loop cannot be elided).
+    fn fa_lookup(entries: u64, iters: u64) -> u64 {
+        let mut tlb = Tlb::new(entries, TlbOrg::FullyAssociative, 7);
         let mut rng = DetRng::new(42);
-        let mut hits = 0u64;
-        for _ in 0..iters {
-            let page = VPage::new(rng.gen_index(TLB_WORKING_SET) as u64);
-            hits += u64::from(tlb.translate(page));
+        let working_set = (entries + entries / 2) as usize;
+        for i in 0..iters {
+            let page = VPage::new(rng.gen_index(working_set) as u64);
+            tlb.translate(page);
+            if i % 64 == 63 {
+                tlb.shootdown(page);
+            }
         }
-        hits + tlb.stats().misses
+        tlb.stats().misses
     }
 
     /// Mixed read/write probes against the tiny machine's FLC + SLC pair,
@@ -146,8 +163,9 @@ mod tests {
         // hotpath_micro bench target times must run and give the same
         // checksum twice (the harness relies on run-to-run determinism).
         let tlb = micro::tlb_lookup(20_000);
-        assert!(tlb >= 20_000, "hits + misses covers every lookup");
+        assert!(tlb > 0 && tlb < 20_000, "a mix of hits and misses");
         assert_eq!(tlb, micro::tlb_lookup(20_000));
+        assert_eq!(micro::tlb_lookup_fa512(20_000), micro::tlb_lookup_fa512(20_000));
 
         let cache = micro::cache_probe(20_000);
         assert!(cache > 0);
@@ -157,6 +175,15 @@ mod tests {
         assert!(e2e > 4_000, "exec time plus 4 nodes x 1000 refs");
         assert_eq!(e2e, micro::end_to_end(1_000, Scheme::V_COMA));
         assert!(micro::end_to_end(1_000, Scheme::L0_TLB) > 4_000);
+    }
+
+    #[test]
+    fn tlb_checksums_are_pinned() {
+        // Values of the pre-index one-set random-replacement array: the
+        // indexed buffer must draw the same victims and keep the same
+        // slot order.
+        assert_eq!(micro::tlb_lookup(micro::TLB_ITERS), 67_034);
+        assert_eq!(micro::tlb_lookup_fa512(micro::TLB_ITERS), 66_992);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The COMA-F write-invalidate protocol engine.
 
 use crate::{AmState, CopySet, DirEntry, HomeTranslation, ProtocolStats};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use vcoma_cachesim::SetAssocArray;
 use vcoma_faults::{FaultPlan, TxnFaults};
-use vcoma_metrics::MetricsRegistry;
+use vcoma_metrics::MetricsSnapshot;
 use vcoma_net::{Crossbar, MsgKind, SendOutcome};
-use vcoma_types::{DetRng, MachineConfig, NodeId, Timing};
+use vcoma_types::{DetMap, DetRng, MachineConfig, NodeId, Timing};
 
 /// How a master/exclusive victim searches for a new slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -236,6 +236,28 @@ impl Path {
     }
 }
 
+/// State transitions counted for the metrics snapshot that have no
+/// [`ProtocolStats`] twin (each of the others is exactly one stats field).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Transition {
+    UncachedToMasterShared,
+    UncachedToExclusive,
+    ExclusiveToMasterShared,
+    SharedToMasterShared,
+    InjectAccepted,
+}
+
+impl Transition {
+    /// Counter names, in declaration order.
+    const NAMES: [&'static str; 5] = [
+        "transition.uncached_to_master_shared",
+        "transition.uncached_to_exclusive",
+        "transition.exclusive_to_master_shared",
+        "transition.shared_to_master_shared",
+        "transition.inject_accepted",
+    ];
+}
+
 /// The machine-wide protocol state: one attraction-memory array per node
 /// plus the distributed directory.
 ///
@@ -246,15 +268,15 @@ impl Path {
 #[derive(Debug, Clone)]
 pub struct Protocol {
     ams: Vec<SetAssocArray<AmState>>,
-    dir: HashMap<u64, DirEntry>,
+    dir: DetMap<u64, DirEntry>,
     timing: Timing,
     nodes: u64,
     rng: DetRng,
     policy: InjectionPolicy,
     stats: ProtocolStats,
-    /// Named state-transition counters (`transition.*`), alongside the
-    /// fixed [`ProtocolStats`] counters.
-    metrics: MetricsRegistry,
+    /// Counts of the state transitions that have no [`ProtocolStats`]
+    /// twin, indexed by [`Transition`].
+    transitions: [u64; Transition::NAMES.len()],
     /// Transaction-level fault policy (home NACKs plus retry pacing);
     /// `None` disables the retry path entirely, keeping fault-free runs on
     /// the exact pre-fault code path.
@@ -275,13 +297,13 @@ impl Protocol {
                     SetAssocArray::with_geometry(cfg.am, vcoma_cachesim::Replacement::Lru)
                 })
                 .collect(),
-            dir: HashMap::new(),
+            dir: DetMap::default(),
             timing: cfg.timing,
             nodes: cfg.nodes,
             rng: DetRng::new(seed ^ 0xC0A_0C0A),
             policy: InjectionPolicy::RandomForward,
             stats: ProtocolStats::default(),
-            metrics: MetricsRegistry::new(0),
+            transitions: [0; Transition::NAMES.len()],
             faults: None,
             hops: None,
         }
@@ -359,16 +381,44 @@ impl Protocol {
         &self.stats
     }
 
-    /// Named state-transition counters (`transition.*` keys).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+    /// The protocol's named counters (`fault.*` and `transition.*`) as a
+    /// metrics snapshot. A counter appears only once it is nonzero. Most
+    /// are projected from their [`ProtocolStats`] twins; the rest come
+    /// from a private per-transition array. Built on demand, so the
+    /// transaction path never touches a string key.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        let s = &self.stats;
+        let twins = [
+            ("fault.nack", s.nacks),
+            ("fault.retry", s.retries),
+            ("fault.timeout", s.timeouts),
+            ("fault.exhausted", s.retry_exhausted),
+            ("fault.link_retry", s.link_retries),
+            ("transition.install_shared", s.remote_reads),
+            ("transition.upgrade_to_exclusive", s.upgrades),
+            ("transition.ownership_transfer", s.remote_writes),
+            ("transition.invalidated", s.invalidations),
+            ("transition.shared_dropped", s.shared_drops),
+            ("transition.spilled", s.spills),
+        ];
+        let counters: BTreeMap<String, u64> = twins
+            .into_iter()
+            .chain(Transition::NAMES.into_iter().zip(self.transitions))
+            .filter(|&(_, v)| v > 0)
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        MetricsSnapshot { counters, ..MetricsSnapshot::default() }
+    }
+
+    fn count(&mut self, t: Transition) {
+        self.transitions[t as usize] += 1;
     }
 
     /// Zeroes the statistics counters, keeping all attraction-memory and
     /// directory state (used between a warm-up pass and the measured pass).
     pub fn reset_stats(&mut self) {
         self.stats = ProtocolStats::default();
-        self.metrics.reset();
+        self.transitions = [0; Transition::NAMES.len()];
     }
 
     /// Sends the transaction's opening request with end-to-end recovery.
@@ -389,7 +439,7 @@ impl Protocol {
         home: NodeId,
         kind: MsgKind,
     ) {
-        let Self { faults, stats, metrics, hops, .. } = self;
+        let Self { faults, stats, hops, .. } = self;
         let Some(fx) = faults.as_mut() else {
             let depart = path.t;
             path.send(net, requester, home, kind);
@@ -406,8 +456,6 @@ impl Protocol {
                     if attempt < fx.max_attempts() && fx.nack(home) {
                         stats.nacks += 1;
                         stats.retries += 1;
-                        metrics.incr("fault.nack");
-                        metrics.incr("fault.retry");
                         let nack_depart = path.t;
                         path.send(net, home, requester, MsgKind::Nack);
                         record_hop(hops, nack_depart, path.t, home, requester, MsgKind::Nack.label());
@@ -422,10 +470,8 @@ impl Protocol {
                 }
                 SendOutcome::Dropped => {
                     stats.timeouts += 1;
-                    metrics.incr("fault.timeout");
                     if attempt + 1 >= fx.max_attempts() {
                         stats.retry_exhausted += 1;
-                        metrics.incr("fault.exhausted");
                         path.fault_wait(fx.timeout());
                         record_window(hops, depart, path.t, requester, "timeout");
                         let resend = path.t;
@@ -434,7 +480,6 @@ impl Protocol {
                         return;
                     }
                     stats.retries += 1;
-                    metrics.incr("fault.retry");
                     path.fault_wait(fx.timeout() + fx.backoff(attempt));
                     record_window(hops, depart, path.t, requester, "timeout");
                     record_window(hops, path.t, path.t, requester, "retry");
@@ -455,7 +500,7 @@ impl Protocol {
         dst: NodeId,
         kind: MsgKind,
     ) {
-        let Self { faults, stats, metrics, hops, .. } = self;
+        let Self { faults, stats, hops, .. } = self;
         let depart = path.t;
         let Some(fx) = faults.as_mut() else {
             path.send(net, src, dst, kind);
@@ -469,7 +514,6 @@ impl Protocol {
             }
             SendOutcome::Dropped => {
                 stats.link_retries += 1;
-                metrics.incr("fault.link_retry");
                 path.fault_wait(fx.timeout());
                 record_window(hops, depart, path.t, src, "timeout");
                 let resend = path.t;
@@ -500,7 +544,6 @@ impl Protocol {
             SendOutcome::Delivered { arrive, .. } => arrive,
             SendOutcome::Dropped => {
                 self.stats.link_retries += 1;
-                self.metrics.incr("fault.link_retry");
                 net.send(src, dst, kind, t)
             }
         };
@@ -538,7 +581,7 @@ impl Protocol {
             // Cold fill: the home materialises the block from its backing
             // store; the requester becomes the master.
             self.stats.cold_fills += 1;
-            self.metrics.incr("transition.uncached_to_master_shared");
+            self.count(Transition::UncachedToMasterShared);
             path.mem(self.timing.am_hit);
             self.path_send_ft(&mut path, net, home, requester, MsgKind::BlockReply);
             self.dir.get_mut(&block).expect("just inserted").add(requester);
@@ -558,12 +601,11 @@ impl Protocol {
             if let Some(s) = self.ams[master.index()].peek_mut(block) {
                 if *s == AmState::Exclusive {
                     *s = AmState::MasterShared;
-                    self.metrics.incr("transition.exclusive_to_master_shared");
+                    self.count(Transition::ExclusiveToMasterShared);
                 }
             } else {
                 debug_assert!(false, "directory master {master} does not hold {block:#x}");
             }
-            self.metrics.incr("transition.install_shared");
             self.dir.get_mut(&block).expect("entry exists").add(requester);
             self.install(requester, block, AmState::Shared, net, path.t, &mut invals);
         }
@@ -601,7 +643,6 @@ impl Protocol {
             Some(_) => {
                 // Upgrade: invalidate every other copy, then grant.
                 self.stats.upgrades += 1;
-                self.metrics.incr("transition.upgrade_to_exclusive");
                 let ack_path = self.invalidate_others(block, requester, home, net, path, &mut invals);
                 let mut grant_path = path;
                 self.path_send_ft(&mut grant_path, net, home, requester, MsgKind::Ack);
@@ -616,7 +657,7 @@ impl Protocol {
             None if entry.is_uncached() => {
                 // Cold write fill: requester becomes the exclusive owner.
                 self.stats.cold_fills += 1;
-                self.metrics.incr("transition.uncached_to_exclusive");
+                self.count(Transition::UncachedToExclusive);
                 path.mem(self.timing.am_hit);
                 self.path_send_ft(&mut path, net, home, requester, MsgKind::BlockReply);
                 let e = self.dir.get_mut(&block).expect("entry exists");
@@ -628,7 +669,6 @@ impl Protocol {
                 // Write miss served by the current master; all other copies
                 // are invalidated in parallel.
                 self.stats.remote_writes += 1;
-                self.metrics.incr("transition.ownership_transfer");
                 let master = entry.master.expect("cached block must have a master");
                 let ack_path = self.invalidate_others(block, requester, home, net, path, &mut invals);
                 let mut data_path = path;
@@ -673,7 +713,6 @@ impl Protocol {
                 continue;
             }
             self.stats.invalidations += 1;
-            self.metrics.incr("transition.invalidated");
             let mut branch = from;
             self.path_send_ft(&mut branch, net, home, holder, MsgKind::Invalidate);
             if self.ams[holder.index()].invalidate(block).is_some() {
@@ -715,7 +754,6 @@ impl Protocol {
                 // Dropping a Shared copy: hint the home so the copy set
                 // stays exact.
                 self.stats.shared_drops += 1;
-                self.metrics.incr("transition.shared_dropped");
                 let vhome = self.dir.get(&victim).expect("resident block has an entry").home;
                 self.lossy_send_offpath(net, node, vhome, MsgKind::Ack, now);
                 self.dir.get_mut(&victim).expect("entry exists").remove(node);
@@ -766,7 +804,7 @@ impl Protocol {
                 *s = AmState::MasterShared;
                 self.dir.get_mut(&block).expect("entry exists").master = Some(home);
                 self.stats.injections_home += 1;
-                self.metrics.incr("transition.shared_to_master_shared");
+                self.count(Transition::SharedToMasterShared);
                 return;
             }
             if self.ams[home.index()].set_has_room(block) {
@@ -801,7 +839,7 @@ impl Protocol {
                 *s = AmState::MasterShared;
                 self.dir.get_mut(&block).expect("entry exists").master = Some(cand);
                 self.stats.injections_forwarded += 1;
-                self.metrics.incr("transition.shared_to_master_shared");
+                self.count(Transition::SharedToMasterShared);
                 return;
             }
             if self.ams[cand.index()].set_has_room(block) {
@@ -820,14 +858,13 @@ impl Protocol {
         // store; the next access will cold-fill it. With memory pressure
         // below one this is rare; it is counted so experiments can see it.
         self.stats.spills += 1;
-        self.metrics.incr("transition.spilled");
         if self.dir.get(&block).expect("entry exists").is_uncached() {
             self.dir.get_mut(&block).expect("entry exists").master = None;
         }
     }
 
     fn accept_injection(&mut self, node: NodeId, block: u64) {
-        self.metrics.incr("transition.inject_accepted");
+        self.count(Transition::InjectAccepted);
         self.ams[node.index()].insert(block, AmState::MasterShared);
         let e = self.dir.get_mut(&block).expect("entry exists");
         e.add(node);
@@ -891,11 +928,11 @@ impl Protocol {
     ///
     /// Returns a human-readable description of the violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        // Walk the directory in ascending block order, not HashMap order:
-        // with several simultaneous violations the *reported* one must be
-        // a pure function of the machine state, or audit errors (and the
-        // reports built from them) would differ run to run — the same
-        // determinism discipline the epoch-barrier scheduler relies on.
+        // Walk the directory in ascending block order, not hash-map
+        // order: with several simultaneous violations the *reported* one
+        // must be a pure function of the machine state, not of the map's
+        // bucket layout, or audit errors (and the reports built from
+        // them) could differ between equivalent runs.
         let mut blocks: Vec<u64> = self.dir.keys().copied().collect();
         blocks.sort_unstable();
         for block in blocks {
@@ -1396,10 +1433,10 @@ mod tests {
 
     #[test]
     fn full_sweep_reports_the_lowest_corrupted_block() {
-        // Regression for the old HashMap-ordered directory walk: with
+        // Regression for the old hash-map-ordered directory walk: with
         // several simultaneous violations the sweep must always report
         // the one on the numerically lowest block, so audit errors are
-        // identical run to run (and under any intra-run worker count).
+        // identical run to run.
         let (_, mut p, mut net, mut xl) = setup();
         for b in [90u64, 10, 50] {
             p.read(N1, b, N0, &mut net, &mut xl, 0);

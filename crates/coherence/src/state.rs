@@ -112,12 +112,20 @@ impl CopySet {
         true
     }
 
-    /// Iterates over the members in ascending node order.
+    /// Iterates over the members in ascending node order, in time
+    /// proportional to the words plus the members (set bits are peeled
+    /// off lowest first, not tested one position at a time).
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.words.iter().enumerate().flat_map(|(w, &word)| {
-            (0..64usize)
-                .filter(move |b| word & (1 << b) != 0)
-                .map(move |b| NodeId::new((w * 64 + b) as u16))
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                Some(NodeId::new((w * 64 + b) as u16))
+            })
         })
     }
 }

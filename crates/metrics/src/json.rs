@@ -418,15 +418,21 @@ impl de::Error for JsonParseError {
     }
 }
 
+/// Deepest array/object nesting [`from_json_str`] accepts. The reader
+/// recurses once per level, so without a cap a hostile line of `[`s would
+/// overflow the stack and abort the process; every envelope this
+/// workspace writes nests far less deeply.
+pub const MAX_DEPTH: usize = 128;
+
 /// Deserializes a value from a JSON string (pretty or compact — the
 /// reader is whitespace-insensitive).
 ///
 /// # Errors
 ///
-/// Returns [`JsonParseError`] on malformed JSON, trailing input, or a
-/// shape the target type rejects.
+/// Returns [`JsonParseError`] on malformed JSON, trailing input, nesting
+/// deeper than [`MAX_DEPTH`], or a shape the target type rejects.
 pub fn from_json_str<T: Deserialize>(input: &str) -> Result<T, JsonParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     let value = T::deserialize(JsonDeserializer { p: &mut p })?;
     p.skip_ws();
     if p.pos < p.bytes.len() {
@@ -438,9 +444,21 @@ pub fn from_json_str<T: Deserialize>(input: &str) -> Result<T, JsonParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// Consumes the `[` or `{` at the cursor, opening one nesting level.
+    fn open(&mut self) -> Result<(), JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
     fn err(&self, message: &str) -> JsonParseError {
         JsonParseError { message: message.to_string(), offset: self.pos.max(1) }
     }
@@ -584,12 +602,16 @@ impl de::Deserializer for JsonDeserializer<'_, '_> {
     fn deserialize_any<V: Visitor>(self, visitor: V) -> Result<V::Value, JsonParseError> {
         match self.p.peek() {
             Some(b'{') => {
-                self.p.pos += 1;
-                visitor.visit_map(JsonMapAccess { p: self.p, first: true })
+                self.p.open()?;
+                let value = visitor.visit_map(JsonMapAccess { p: self.p, first: true });
+                self.p.depth -= 1;
+                value
             }
             Some(b'[') => {
-                self.p.pos += 1;
-                visitor.visit_seq(JsonSeqAccess { p: self.p, first: true })
+                self.p.open()?;
+                let value = visitor.visit_seq(JsonSeqAccess { p: self.p, first: true });
+                self.p.depth -= 1;
+                value
             }
             Some(b'"') => {
                 let s = self.p.parse_string()?;
@@ -840,6 +862,25 @@ mod tests {
         let arr: [u64; 3] = from_json_str("[4,5,6]").unwrap();
         assert_eq!(arr, [4, 5, 6]);
         assert!(from_json_str::<[u64; 3]>("[4,5]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        use serde::de::IgnoredAny;
+        // 400 KB of `[`: recursing once per level would abort the process.
+        let hostile = "[".repeat(400 * 1024);
+        let err = from_json_str::<IgnoredAny>(&hostile).unwrap_err();
+        assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let deep_objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let err = from_json_str::<IgnoredAny>(&deep_objects).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        // Exactly the limit still parses, and levels are released on close.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_json_str::<IgnoredAny>(&at_limit).is_ok());
+        let inner = &at_limit[1..at_limit.len() - 1];
+        let siblings = format!("[{inner},{inner},{inner}]");
+        assert!(from_json_str::<IgnoredAny>(&siblings).is_ok());
     }
 
     #[test]

@@ -6,11 +6,14 @@ use std::collections::BTreeMap;
 
 /// A registry of named metrics for one simulation (or one node).
 ///
-/// Names are `&'static str` so the fast path never allocates; the
-/// simulator layers register with string literals from their own
-/// vocabularies (`"protocol.read_miss"`, `"tlb.l1.evict"`, ...). Keys are
-/// kept in a `BTreeMap` so iteration — and therefore every serialized
-/// snapshot — is deterministic.
+/// The registry is for rare events and the event ring. Counts taken on
+/// every reference or transaction are typed fields of their owners (the
+/// machine's latency histograms, the protocol's `ProtocolStats`), which
+/// enter the [`MetricsSnapshot`] under their names only at report time,
+/// so the hot path does no string-keyed map work. Names here are
+/// `&'static str`, so recording never allocates. Keys are kept in a
+/// `BTreeMap` so iteration — and therefore every serialized snapshot — is
+/// deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,

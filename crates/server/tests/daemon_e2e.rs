@@ -14,11 +14,15 @@
 //!   identical job 100% from the store (`simulated == 0`);
 //! * daemon CSVs are byte-identical to a direct in-process run of the
 //!   same artifacts at `--jobs 1`;
-//! * malformed submissions fail with a message, not a dead connection.
+//! * malformed submissions fail with a message, not a dead connection;
+//! * a hostile, absurdly nested request line gets an error reply instead
+//!   of overflowing the reader's stack, and the daemon keeps serving.
 
+use std::io::{BufRead, BufReader, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
+use vcoma::metrics::json::from_json_str;
 use vcoma_experiments::cache::code_fingerprint;
 use vcoma_experiments::client::{Connection, Endpoint};
 use vcoma_experiments::protocol::{Request, Response, PROTOCOL_VERSION};
@@ -222,5 +226,35 @@ fn daemon_serves_caches_resumes_and_matches_direct_runs() {
         }
     }
 
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn deeply_nested_request_is_an_error_reply_not_a_crash() {
+    let base = std::env::temp_dir().join(format!("vcoma-daemon-nest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("test dir");
+    let socket = base.join("sweepd.sock");
+    let server = RunningDaemon::start(&socket, &base.join("store"));
+    drop(server.connect());
+
+    // One 400 KB NDJSON line of `[`, under a key the reader skips
+    // recursively: an unbounded reader would overflow its stack and
+    // abort the whole process.
+    let mut raw = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    let line = format!("{{\"op\":\"ping\",\"pad\":{}\n", "[".repeat(400 * 1024));
+    raw.write_all(line.as_bytes()).expect("send hostile line");
+    let mut reply = String::new();
+    BufReader::new(&raw).read_line(&mut reply).expect("read reply");
+    let resp: Response = from_json_str(reply.trim_end()).expect("reply is a protocol response");
+    assert!(!resp.ok);
+    let error = resp.error.expect("message");
+    assert!(error.contains("malformed request") && error.contains("nesting"), "{error}");
+
+    // The daemon is still alive: a fresh connection gets a normal reply.
+    let mut conn = server.connect();
+    let ping = ok(conn.request(&Request::new("ping")));
+    assert_eq!(ping.protocol, Some(PROTOCOL_VERSION));
+    server.stop();
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -35,11 +35,10 @@
 //! ```
 
 use crate::{SimConfig, TimeBreakdown, TlbBank};
-use std::collections::HashMap;
 use vcoma_metrics::Mergeable;
 use vcoma_cachesim::{Flc, Slc};
 use vcoma_net::{Crossbar, MsgKind};
-use vcoma_types::{AccessKind, NodeId, Op, VAddr, VPage};
+use vcoma_types::{AccessKind, DetMap, NodeId, Op, VAddr, VPage};
 use vcoma_vm::{FrameAllocator, PageTable, RoundRobinAllocator, VmError};
 
 /// Where translation happens in the CC-NUMA machine (paper Figure 1).
@@ -145,7 +144,7 @@ pub struct NumaMachine {
     net: Crossbar,
     page_table: PageTable,
     alloc: FirstTouch,
-    dir: HashMap<u64, MsiEntry>,
+    dir: DetMap<u64, MsiEntry>,
     local_mem: u64,
     remote_mem: u64,
 }
@@ -213,7 +212,7 @@ impl NumaMachine {
             net: Crossbar::new(m.nodes, m.timing).with_block_size(m.slc.block_size),
             page_table: PageTable::new(m.clone()),
             alloc: FirstTouch::new(m),
-            dir: HashMap::new(),
+            dir: DetMap::default(),
             local_mem: 0,
             remote_mem: 0,
             cfg,

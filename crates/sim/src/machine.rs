@@ -8,11 +8,11 @@ use crate::sync::{Barriers, Locks};
 use crate::trace::Tracer;
 use crate::{SimConfig, SimReport};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use vcoma_cachesim::{Flc, Slc};
 use vcoma_coherence::{Access, HomeTranslation, NullTranslation, Protocol};
 use vcoma_faults::LinkFaultInjector;
-use vcoma_metrics::{Event, Mergeable, MetricsRegistry};
+use vcoma_metrics::{Event, Histogram, Mergeable, MetricsRegistry};
 use vcoma_net::{Crossbar, MsgKind};
 use vcoma_tlb::{AllocPolicy, ModelParams, TranslationModel, XlatePoint};
 use vcoma_types::{AccessKind, MachineConfig, NodeId, Op, OpSource, VAddr, VPage};
@@ -131,10 +131,14 @@ pub struct Machine {
     /// Remote transactions completed since the last periodic audit sweep
     /// (only maintained when auditing is enabled).
     audited_txns: u64,
-    /// Machine-level metrics: per-request latency histograms and traced
-    /// events (TLB/DLB misses, shootdowns, swap-outs). Observation-only —
-    /// never feeds back into timing.
+    /// Machine-level traced events (TLB/DLB misses, shootdowns,
+    /// swap-outs). Observation-only — never feeds back into timing.
     metrics: MetricsRegistry,
+    /// Per-request latency histograms, reported as `latency.read` and
+    /// `latency.write`. Typed fields, so the per-reference path does no
+    /// string-keyed map work.
+    latency_read: Histogram,
+    latency_write: Histogram,
     /// Causal transaction tracer ([`SimConfig::trace`]); `None` keeps the
     /// replay hot path free of any tracing work.
     tracer: Option<Tracer>,
@@ -268,6 +272,8 @@ impl Machine {
             page_faults: 0,
             audited_txns: 0,
             metrics: MetricsRegistry::new(cfg.event_capacity),
+            latency_read: Histogram::default(),
+            latency_write: Histogram::default(),
             tracer: cfg.trace.map(|tc| Tracer::new(tc, cfg.seed, m.nodes as usize)),
             cfg,
         }
@@ -357,6 +363,8 @@ impl Machine {
         self.protocol.reset_stats();
         self.net.reset_stats();
         self.metrics.reset();
+        self.latency_read = Histogram::default();
+        self.latency_write = Histogram::default();
         if let Some(tr) = self.tracer.as_mut() {
             tr.reset();
         }
@@ -380,10 +388,13 @@ impl Machine {
     fn replay<'a>(&mut self, sources: &mut [Box<dyn OpSource + 'a>]) -> Result<(), SimError> {
         let mut next_op: Vec<Option<Op>> = sources.iter_mut().map(|s| s.next_op()).collect();
         let mut done: Vec<bool> = next_op.iter().map(|o| o.is_none()).collect();
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        // Keys pack `(time, node)` into one `u128` (time high, node low):
+        // the same order as the tuple, compared in one wide integer step.
+        let key = |t: u64, node: usize| Reverse(u128::from(t) << 64 | node as u128);
+        let mut heap: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
         for (i, o) in next_op.iter().enumerate() {
             if o.is_some() {
-                heap.push(Reverse((0, i)));
+                heap.push(key(0, i));
             }
         }
         // Reused across iterations: the resume list is tiny (one entry for
@@ -391,16 +402,31 @@ impl Machine {
         // op dominated the replay loop's heap traffic.
         let mut resumes: Vec<(usize, u64)> = Vec::new();
 
-        while let Some(Reverse((t, n))) = heap.pop() {
+        loop {
+            let Some(mut top) = heap.peek_mut() else { break };
+            let Reverse(k) = *top;
+            let (t, n) = ((k >> 64) as u64, k as u64 as usize);
             self.nodes[n].time = t;
             let op = next_op[n].take().expect("a scheduled node has a prefetched op");
             next_op[n] = sources[n].next_op();
             resumes.clear();
             self.step_op(n, t, op, &mut resumes)?;
+            // The common case — the node resumes itself and has more ops —
+            // rewrites the top in place: one sift instead of a pop and a
+            // push. Keys `(t, node)` are unique, so the pop order is the
+            // same either way.
+            if let [(node, resume)] = resumes[..] {
+                if node == n && next_op[n].is_some() {
+                    self.nodes[n].time = resume;
+                    *top = key(resume, n);
+                    continue;
+                }
+            }
+            PeekMut::pop(top);
             for &(node, resume) in &resumes {
                 self.nodes[node].time = resume;
                 if next_op[node].is_some() {
-                    heap.push(Reverse((resume, node)));
+                    heap.push(key(resume, node));
                 } else {
                     done[node] = true;
                 }
@@ -475,11 +501,10 @@ impl Machine {
     /// cycles and feeds the per-request latency histograms.
     fn access(&mut self, n: usize, va: VAddr, kind: AccessKind) -> Result<u64, SimError> {
         let dt = self.access_inner(n, va, kind)?;
-        let name = match kind {
-            AccessKind::Read => "latency.read",
-            AccessKind::Write => "latency.write",
-        };
-        self.metrics.observe(name, dt);
+        match kind {
+            AccessKind::Read => self.latency_read.record(dt),
+            AccessKind::Write => self.latency_write.record(dt),
+        }
         Ok(dt)
     }
 
@@ -616,8 +641,9 @@ impl Machine {
         }
 
         // --- attraction memory / coherence --------------------------------
-        let had_local_copy = self.protocol.probe(node_id, am_block, false);
-        let local_ok = self.protocol.probe(node_id, am_block, kind.is_write());
+        let local_state = self.protocol.state_of(node_id, am_block);
+        let had_local_copy = local_state.is_some();
+        let local_ok = local_state.is_some_and(|s| !kind.is_write() || s.satisfies_write());
 
         if local_ok {
             if !slc_res.hit {
@@ -1022,7 +1048,14 @@ impl Machine {
         let pressure =
             PressureProfile::from_pages(self.page_table.iter().map(|(p, _)| p), &self.cfg.machine);
         let mut metrics = self.metrics.snapshot();
-        metrics.merge(&self.protocol.metrics().snapshot());
+        let latencies =
+            [("latency.read", &self.latency_read), ("latency.write", &self.latency_write)];
+        for (name, h) in latencies {
+            if h.count() > 0 {
+                metrics.histograms.insert(name.to_string(), h.snapshot());
+            }
+        }
+        metrics.merge(&self.protocol.metrics_snapshot());
         let trace = self.tracer.as_ref().map(Tracer::snapshot);
         let mut builder = SimReport::builder()
             .config(self.cfg)

@@ -75,6 +75,157 @@ impl std::fmt::Display for TlbStats {
     }
 }
 
+/// Marks a free [`FaBuffer`] index cell; a used cell holds `slot + 1`.
+/// Zero, so a new index is zeroed memory whose pages the allocator need
+/// not touch until a fill reaches them (an index filled with a nonzero
+/// sentinel raised the Figure-8 sweep's peak RSS by 1.6 MB).
+const FREE: u32 = 0;
+
+/// The fully-associative, random-replacement buffer: resident tags in fill
+/// order, plus an open-addressed tag→slot index so a lookup costs O(1)
+/// whatever the size.
+///
+/// It keeps the semantics of a one-set `SetAssocArray` under
+/// `Replacement::Random` exactly, so every RNG draw and every victim is
+/// the same: a fill appends, a refill of a full buffer replaces slot
+/// `rng.gen_index(len)` in place, and a removal is a `swap_remove`.
+/// Random replacement never reads recency, so there are no LRU stamps;
+/// the index (two `u32` cells per entry at power-of-two sizes) takes
+/// their place.
+#[derive(Debug, Clone)]
+struct FaBuffer {
+    /// Resident tags in fill order (the victim draw indexes this).
+    tags: Vec<u64>,
+    capacity: usize,
+    /// Linear-probing table of `tags` indices plus one, [`FREE`] when
+    /// free; a power of two at least twice `capacity`, so probes stay
+    /// short.
+    index: Vec<u32>,
+    /// `64 - log2(index.len())`: the home cell is the top bits of a
+    /// multiplicative hash.
+    shift: u32,
+    rng: DetRng,
+}
+
+impl FaBuffer {
+    fn new(capacity: usize, seed: u64) -> Self {
+        let cells = (2 * capacity).next_power_of_two().max(2);
+        assert!(capacity < u32::MAX as usize, "TLB too large for a u32 index");
+        FaBuffer {
+            tags: Vec::with_capacity(capacity),
+            capacity,
+            index: vec![FREE; cells],
+            shift: 64 - cells.trailing_zeros(),
+            rng: DetRng::new(seed),
+        }
+    }
+
+    #[inline]
+    fn home(&self, tag: u64) -> usize {
+        (tag.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Index cell holding `tag`, if resident.
+    #[inline]
+    fn cell_of(&self, tag: u64) -> Option<usize> {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(tag);
+        loop {
+            let cell = self.index[i];
+            if cell == FREE {
+                return None;
+            }
+            if self.tags[cell as usize - 1] == tag {
+                return Some(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    #[inline]
+    fn contains(&self, tag: u64) -> bool {
+        self.cell_of(tag).is_some()
+    }
+
+    /// Points a free cell on `tag`'s probe chain at `slot`.
+    fn link(&mut self, tag: u64, slot: usize) {
+        let mask = self.index.len() - 1;
+        let mut i = self.home(tag);
+        while self.index[i] != FREE {
+            i = (i + 1) & mask;
+        }
+        self.index[i] = slot as u32 + 1;
+    }
+
+    /// Frees index cell `hole`, shifting later members of its probe run
+    /// back so every chain stays unbroken (no tombstones).
+    fn unlink(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let cell = self.index[j];
+            if cell == FREE {
+                break;
+            }
+            let home = self.home(self.tags[cell as usize - 1]);
+            // The entry at `j` may fill the hole unless its home lies
+            // cyclically in `(hole, j]`.
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.index[hole] = cell;
+                hole = j;
+            }
+        }
+        self.index[hole] = FREE;
+    }
+
+    /// Fills a missing `tag`, returning the tag it displaced, if any.
+    fn fill(&mut self, tag: u64) -> Option<u64> {
+        let len = self.tags.len();
+        if len < self.capacity {
+            self.tags.push(tag);
+            self.link(tag, len);
+            return None;
+        }
+        let v = self.rng.gen_index(len);
+        let victim = self.tags[v];
+        let cell = self.cell_of(victim).expect("resident tags are indexed");
+        self.unlink(cell);
+        self.tags[v] = tag;
+        self.link(tag, v);
+        Some(victim)
+    }
+
+    /// Removes `tag`; the last tag in fill order moves into its slot.
+    fn remove(&mut self, tag: u64) -> bool {
+        let Some(cell) = self.cell_of(tag) else {
+            return false;
+        };
+        let slot = self.index[cell] as usize - 1;
+        self.unlink(cell);
+        let last = self.tags.len() - 1;
+        if slot != last {
+            let moved = self.cell_of(self.tags[last]).expect("resident tags are indexed");
+            self.index[moved] = slot as u32 + 1;
+        }
+        self.tags.swap_remove(slot);
+        true
+    }
+
+    fn clear(&mut self) {
+        self.tags.clear();
+        self.index.fill(FREE);
+    }
+}
+
+/// A TLB's storage: the indexed buffer for the fully-associative
+/// organisation, a one-way-per-set array for the direct-mapped one.
+#[derive(Debug, Clone)]
+enum Buffer {
+    Fa(FaBuffer),
+    Dm(SetAssocArray<()>),
+}
+
 /// A translation lookaside buffer over virtual page numbers.
 ///
 /// The same structure serves as a node's TLB (`L0`–`L3`) and as a home
@@ -88,7 +239,7 @@ impl std::fmt::Display for TlbStats {
 /// misses.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    array: Option<SetAssocArray<()>>,
+    buffer: Option<Buffer>,
     entries: u64,
     org: TlbOrg,
     stats: TlbStats,
@@ -99,17 +250,17 @@ impl Tlb {
     /// `seed` feeds the random-replacement policy (fully-associative
     /// organisation only), keeping runs deterministic.
     pub fn new(entries: u64, org: TlbOrg, seed: u64) -> Self {
-        let array = if entries == 0 {
+        let buffer = if entries == 0 {
             None
         } else {
             Some(match org {
-                TlbOrg::FullyAssociative => {
-                    SetAssocArray::new(1, entries, Replacement::Random(DetRng::new(seed)))
+                TlbOrg::FullyAssociative => Buffer::Fa(FaBuffer::new(entries as usize, seed)),
+                TlbOrg::DirectMapped => {
+                    Buffer::Dm(SetAssocArray::new(entries, 1, Replacement::Lru))
                 }
-                TlbOrg::DirectMapped => SetAssocArray::new(entries, 1, Replacement::Lru),
             })
         };
-        Tlb { array, entries, org, stats: TlbStats::default() }
+        Tlb { buffer, entries, org, stats: TlbStats::default() }
     }
 
     /// Number of entries.
@@ -139,15 +290,24 @@ impl Tlb {
     /// evicted a victim). Counters are updated exactly as by `translate`.
     pub fn translate_track(&mut self, page: VPage) -> (bool, Option<VPage>) {
         self.stats.accesses += 1;
-        let Some(array) = &mut self.array else {
-            self.stats.misses += 1;
-            return (false, None);
+        let tag = page.raw();
+        let victim = match &mut self.buffer {
+            None => None,
+            Some(Buffer::Fa(fa)) => {
+                if fa.contains(tag) {
+                    return (true, None);
+                }
+                fa.fill(tag)
+            }
+            Some(Buffer::Dm(dm)) => {
+                if dm.lookup(tag).is_some() {
+                    return (true, None);
+                }
+                dm.insert(tag, ()).map(|(victim, ())| victim)
+            }
         };
-        if array.lookup(page.raw()).is_some() {
-            return (true, None);
-        }
         self.stats.misses += 1;
-        let victim = array.insert(page.raw(), ()).map(|(tag, ())| VPage::new(tag));
+        let victim = victim.map(VPage::new);
         if victim.is_some() {
             self.stats.evictions += 1;
         }
@@ -156,14 +316,21 @@ impl Tlb {
 
     /// Probes for a page without refilling or counting an access.
     pub fn contains(&self, page: VPage) -> bool {
-        self.array.as_ref().is_some_and(|a| a.contains(page.raw()))
+        match &self.buffer {
+            None => false,
+            Some(Buffer::Fa(fa)) => fa.contains(page.raw()),
+            Some(Buffer::Dm(dm)) => dm.contains(page.raw()),
+        }
     }
 
     /// Removes a page mapping (TLB shootdown on mapping/protection change).
     /// Returns whether it was present.
     pub fn shootdown(&mut self, page: VPage) -> bool {
-        let present =
-            self.array.as_mut().is_some_and(|a| a.invalidate(page.raw()).is_some());
+        let present = match &mut self.buffer {
+            None => false,
+            Some(Buffer::Fa(fa)) => fa.remove(page.raw()),
+            Some(Buffer::Dm(dm)) => dm.invalidate(page.raw()).is_some(),
+        };
         if present {
             self.stats.shootdowns += 1;
         }
@@ -172,14 +339,20 @@ impl Tlb {
 
     /// Removes all mappings (full flush).
     pub fn flush(&mut self) {
-        if let Some(a) = &mut self.array {
-            a.clear();
+        match &mut self.buffer {
+            None => {}
+            Some(Buffer::Fa(fa)) => fa.clear(),
+            Some(Buffer::Dm(dm)) => dm.clear(),
         }
     }
 
     /// Number of resident mappings.
     pub fn len(&self) -> usize {
-        self.array.as_ref().map_or(0, |a| a.len())
+        match &self.buffer {
+            None => 0,
+            Some(Buffer::Fa(fa)) => fa.tags.len(),
+            Some(Buffer::Dm(dm)) => dm.len(),
+        }
     }
 
     /// Returns `true` if no mapping is resident.
@@ -306,6 +479,55 @@ mod tests {
             t.stats().misses
         };
         assert_eq!(run(42), run(42));
+    }
+
+    /// Drives the indexed fully-associative buffer and the one-set
+    /// random-replacement `SetAssocArray` it replaced side by side over a
+    /// random stream of translations, shootdowns and flushes: every hit,
+    /// miss and victim must agree, so does every RNG draw.
+    #[test]
+    fn indexed_fa_matches_the_one_set_random_array() {
+        for entries in [1u64, 8, 16, 64, 512] {
+            for seed in [0u64, 1, 0xC0FFEE, u64::MAX] {
+                let mut tlb = Tlb::new(entries, TlbOrg::FullyAssociative, seed);
+                let mut reference: SetAssocArray<()> =
+                    SetAssocArray::new(1, entries, Replacement::Random(DetRng::new(seed)));
+                let mut want = TlbStats::default();
+                let mut stream = DetRng::new(seed ^ entries);
+                let pages = entries + entries / 2 + 4;
+                for step in 0..20_000u64 {
+                    let page = VPage::new(stream.gen_range(pages));
+                    match stream.gen_range(64) {
+                        0..=3 => {
+                            let present = reference.invalidate(page.raw()).is_some();
+                            want.shootdowns += u64::from(present);
+                            let got = tlb.shootdown(page);
+                            assert_eq!(got, present, "{entries}/{seed} step {step}");
+                        }
+                        4 if step % 7 == 0 => {
+                            reference.clear();
+                            tlb.flush();
+                        }
+                        _ => {
+                            want.accesses += 1;
+                            let expect = if reference.lookup(page.raw()).is_some() {
+                                (true, None)
+                            } else {
+                                want.misses += 1;
+                                let victim = reference.insert(page.raw(), ()).map(|(v, ())| v);
+                                want.evictions += u64::from(victim.is_some());
+                                (false, victim.map(VPage::new))
+                            };
+                            let got = tlb.translate_track(page);
+                            assert_eq!(got, expect, "{entries}/{seed} step {step}");
+                        }
+                    }
+                }
+                assert_eq!(*tlb.stats(), want, "{entries}/{seed}");
+                assert_eq!(tlb.len(), reference.len(), "{entries}/{seed}");
+                assert!(reference.iter().all(|(p, ())| tlb.contains(VPage::new(p))));
+            }
+        }
     }
 
     #[test]

@@ -16,6 +16,16 @@ cargo test --workspace -q
 echo "==> golden-report regression suite"
 cargo test -q -p vcoma-integration --test golden_reports
 
+echo "==> perfbench correctness gate: every fig8 report against its pinned digest"
+# One traced pass of the benchmark's Figure-8 grid; every point's CSV and
+# encoded report must match perfbench/pins.txt. About 30 s.
+gate_result=$(python3 perfbench/run.py --workload fig8_shadow_tlb --seed 1 --seconds 0 --trace 1 \
+    | tail -n 1)
+python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+print("perfbench gate: %d of %d points failed" % (r["failed"], r["attempted"]))
+sys.exit(0 if r["failed"] == 0 else 1)' "$gate_result"
+
 echo "==> parallel determinism smoke sweep (--jobs 1 vs --jobs 2)"
 out1=$(mktemp -d)
 out2=$(mktemp -d)
@@ -88,7 +98,7 @@ guard=""
 micro_out=$(mktemp)
 trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64" "$t5a" "$t5b" "$t5n64" "$micro_out"' EXIT
 cargo bench -p vcoma-bench --bench hotpath_micro | tee "$micro_out"
-for label in tlb_lookup cache_probe access_v_coma access_l0_tlb; do
+for label in tlb_lookup tlb_lookup_fa512 cache_probe access_v_coma access_l0_tlb; do
     grep -q "bench hotpath_micro/${label}:" "$micro_out" \
         || { echo "hotpath_micro never ran ${label}"; exit 1; }
 done

@@ -159,6 +159,36 @@ fn metrics_reconcile_with_report_counters() {
             );
         }
     }
+    // With a warm-up pass, the typed latency histograms must be reset with
+    // every other counter: they count the measured pass's references only.
+    let w = &all_benchmarks(0.003)[0];
+    for scheme in all_schemes() {
+        let report = Simulator::new(scheme).warmup().run(w.as_ref());
+        let m = report.metrics();
+        let reads: u64 = report.nodes().iter().map(|n| n.reads).sum();
+        let h_read = m.histogram("latency.read").map_or(0, |h| h.count);
+        let h_write = m.histogram("latency.write").map_or(0, |h| h.count);
+        assert_eq!(h_read, reads, "{} {scheme}: warm-up loads leaked into the histogram", w.name());
+        assert_eq!(
+            h_write,
+            report.total_writes(),
+            "{} {scheme}: warm-up stores leaked into the histogram",
+            w.name()
+        );
+        assert_eq!(
+            m.counter("transition.invalidated"),
+            report.protocol().invalidations,
+            "{} {scheme}: warm-up transitions leaked into the snapshot",
+            w.name()
+        );
+        assert_eq!(
+            m.counter("transition.uncached_to_master_shared")
+                + m.counter("transition.uncached_to_exclusive"),
+            report.protocol().cold_fills,
+            "{} {scheme}: warm-up cold fills leaked into the snapshot",
+            w.name()
+        );
+    }
 }
 
 #[test]

@@ -40,6 +40,16 @@ fn every_scheme_survives_a_lossy_crossbar_with_the_auditor_armed() {
                 > 0,
             "{scheme}: fault counters missing from the metrics snapshot"
         );
+        // Each fault counter is exactly its ProtocolStats twin.
+        for (name, stat) in [
+            ("fault.nack", p.nacks),
+            ("fault.retry", p.retries),
+            ("fault.timeout", p.timeouts),
+            ("fault.exhausted", p.retry_exhausted),
+            ("fault.link_retry", p.link_retries),
+        ] {
+            assert_eq!(m.counter(name), stat, "{scheme}: {name}");
+        }
         // And recovery time is attributed to its own latency category.
         assert!(report.aggregate_fine().fault > 0, "{scheme}");
         // The coarse breakdown still conserves every cycle with recovery
