@@ -77,7 +77,7 @@ pub mod faults {
     pub use vcoma_faults::*;
 }
 
-/// The metrics registry, histograms and event tracing behind
+/// The metrics snapshot, histograms and event tracing behind
 /// [`SimReport::metrics`] and the CLI's `--metrics-out`/`--breakdown`.
 pub mod metrics {
     pub use vcoma_metrics::*;

@@ -3,9 +3,9 @@
 //!
 //! Each module owns one artifact and exposes a `run(&ExperimentConfig)`
 //! returning plain data plus a `render(..)` producing the paper-style
-//! table. The CLI binary (`cargo run -p vcoma-experiments`) and the
-//! Criterion benches in `vcoma-bench` both call these entry points, so the
-//! numbers in `EXPERIMENTS.md` are regenerable from either.
+//! table. The CLI binary (`cargo run -p vcoma-experiments`) and the sweep
+//! daemon (`vcoma-sweepd`) both call these entry points, so the numbers in
+//! `EXPERIMENTS.md` are regenerable from either.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -122,8 +122,8 @@ impl ExperimentConfig {
         }
     }
 
-    /// A very small setup for smoke tests and benches: the paper machine
-    /// at ~1 % scale. (The node count stays at 32: the benchmarks'
+    /// A very small setup for smoke tests: the paper machine at ~1 %
+    /// scale. (The node count stays at 32: the benchmarks'
     /// footprints need the full machine's memory, as in the paper.)
     pub fn smoke() -> Self {
         ExperimentConfig {

@@ -6,7 +6,9 @@
 //! ```
 
 use std::path::{Path, PathBuf};
-use vcoma_experiments::{artifacts, breakdown, cache, client, faults, sweep, trace, ExperimentConfig};
+use std::sync::Arc;
+use vcoma_experiments::progress::StderrProgress;
+use vcoma_experiments::{artifacts, breakdown, client, faults, sweep, trace, ExperimentConfig};
 
 /// Every artifact name the CLI accepts, in default execution order
 /// (`breakdown`, `faults` and `trace` opt in through their flags or by
@@ -67,8 +69,8 @@ options:
 exit status: 0 on success, 2 on a usage error, 3 when a run fails (a
 coherence-invariant violation under --fault-plan, or VM exhaustion).
 
-Sweep throughput is printed per artifact and summarised in
-BENCH_sweep.json (written to the current directory, never to --out).
+Each artifact ends with one [sweep ...] throughput line per sweep on
+stdout. For pinned, comparable timings use `python3 perfbench/run.py`.
 ";
 
 /// Parses a numeric flag value, exiting with a one-line usage error (status
@@ -94,9 +96,9 @@ fn flag_value(flag: &str, value: Option<String>) -> String {
 }
 
 /// Writes a user-requested output file (`--out` CSVs, `--metrics-out`,
-/// `--trace-out`, `BENCH_sweep.json`), creating missing parent
-/// directories first. On failure prints a one-line error and exits with
-/// status 2 — an unwritable path is a usage error, not a panic.
+/// `--trace-out`), creating missing parent directories first. On failure
+/// prints a one-line error and exits with status 2 — an unwritable path
+/// is a usage error, not a panic.
 fn write_output_file(path: &Path, contents: &str) {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
@@ -125,6 +127,7 @@ fn main() {
     let mut fault_seed: Option<u64> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut schemes: Option<vcoma::SchemeSet> = None;
+    let mut progress = false;
 
     let mut args = std::env::args().skip(1).peekable();
     // Client subcommands talk to a running vcoma-sweepd instead of
@@ -207,7 +210,7 @@ fn main() {
             "--trace-out" => {
                 trace_out = Some(PathBuf::from(flag_value("--trace-out", args.next())));
             }
-            "--progress" => sweep::set_progress(true),
+            "--progress" => progress = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
                 return;
@@ -273,6 +276,9 @@ fn main() {
     }
     if let Some(set) = schemes {
         cfg = cfg.with_schemes(set);
+    }
+    if progress {
+        cfg = cfg.with_progress(Arc::new(StderrProgress::default()));
     }
     println!(
         "machine: {} nodes, scale {scale}, {} sweep workers, {} traces (paper geometry, paper timing)\n",
@@ -377,36 +383,9 @@ fn main() {
             }
             other => unreachable!("artifact '{other}' passed validation but has no runner"),
         }
+        for stats in sweep::take_stats() {
+            println!("{stats}");
+        }
         println!("[{a} took {:.1}s]\n", t0.elapsed().as_secs_f64());
-    }
-
-    // Sweep throughput summary. BENCH_sweep.json goes to the working
-    // directory, not --out: the --out CSVs stay byte-identical across
-    // worker counts, while wall-clock figures never are.
-    let stats = sweep::take_stats();
-    if !stats.is_empty() {
-        // Carry the cycles/s trajectory forward: each run appends its
-        // point to the existing file's history instead of erasing it.
-        let prior = std::fs::read_to_string("BENCH_sweep.json")
-            .map(|s| sweep::prior_history(&s))
-            .unwrap_or_default();
-        let json = sweep::bench_json(
-            &stats,
-            sweep::BenchContext {
-                jobs: cfg.effective_jobs(),
-                nodes: cfg.machine.nodes,
-                code_fingerprint: cache::code_fingerprint(),
-            },
-            &prior,
-        );
-        write_output_file(Path::new("BENCH_sweep.json"), &json);
-        let total_wall: f64 = stats.iter().map(|s| s.wall_seconds).sum();
-        let total_cycles: u64 = stats.iter().map(|s| s.simulated_cycles).sum();
-        println!(
-            "sweeps: {} points in {:.1}s wall ({:.3e} simulated cycles/s) -> BENCH_sweep.json",
-            stats.iter().map(|s| s.points).sum::<usize>(),
-            total_wall,
-            if total_wall > 0.0 { total_cycles as f64 / total_wall } else { 0.0 }
-        );
     }
 }

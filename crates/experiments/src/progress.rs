@@ -22,6 +22,9 @@
 //! byte-identity of every table, CSV and golden fixture with and without
 //! a sink installed is a tested invariant.
 
+use std::sync::Mutex;
+use std::time::Instant;
+
 /// Observer for sweep and simulation progress. All methods default to
 /// no-ops so sinks implement only the events they care about.
 pub trait ProgressSink: Send + Sync {
@@ -43,6 +46,63 @@ pub trait ProgressSink: Send + Sync {
     /// result was served from the configured store instead of simulated.
     fn point_resolved(&self, simulated_cycles: u64, from_cache: bool) {
         let _ = (simulated_cycles, from_cache);
+    }
+}
+
+/// The CLI's `--progress` sink: paints one live status line per sweep on
+/// stderr (artifact, completed points, simulated cycles/s, peak RSS) and
+/// clears it when the sweep's last point finishes. Cycles are those of
+/// the simulations resolved so far, so an artifact that drives the
+/// simulator directly (`ccnuma`) shows 0 cycles/s.
+#[derive(Debug, Default)]
+pub struct StderrProgress {
+    line: Mutex<LineState>,
+}
+
+#[derive(Debug, Default)]
+struct LineState {
+    artifact: String,
+    points: u64,
+    done: u64,
+    cycles: u64,
+    started: Option<Instant>,
+}
+
+impl StderrProgress {
+    fn line(&self) -> std::sync::MutexGuard<'_, LineState> {
+        self.line.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+}
+
+impl ProgressSink for StderrProgress {
+    fn sweep_started(&self, artifact: &str, points: u64) {
+        *self.line() = LineState {
+            artifact: artifact.to_string(),
+            points,
+            started: Some(Instant::now()),
+            ..LineState::default()
+        };
+    }
+
+    fn point_done(&self, _label: &str) {
+        let mut line = self.line();
+        line.done += 1;
+        let secs = line.started.map_or(0.0, |t| t.elapsed().as_secs_f64());
+        let rate = if secs > 0.0 { line.cycles as f64 / secs } else { 0.0 };
+        eprint!(
+            "\r[{}] {}/{} points, {rate:.3e} cycles/s, peak RSS {} KB ",
+            line.artifact,
+            line.done,
+            line.points,
+            crate::sweep::peak_rss_kb()
+        );
+        if line.done == line.points {
+            eprint!("\r{:79}\r", "");
+        }
+    }
+
+    fn point_resolved(&self, simulated_cycles: u64, _from_cache: bool) {
+        self.line().cycles += simulated_cycles;
     }
 }
 
@@ -92,5 +152,25 @@ mod tests {
         assert_eq!(sink.started.load(Ordering::Relaxed), 30);
         assert_eq!(sink.done.load(Ordering::Relaxed), 2);
         assert_eq!(sink.resolved.load(Ordering::Relaxed), 500);
+    }
+
+    #[test]
+    fn stderr_sink_tracks_the_current_sweep() {
+        let sink = StderrProgress::default();
+        sink.sweep_started("table2", 2);
+        sink.point_resolved(300, false);
+        sink.point_done("p0");
+        sink.point_resolved(200, true);
+        sink.point_done("p1");
+        let line = sink.line();
+        assert_eq!((line.artifact.as_str(), line.points, line.done), ("table2", 2, 2));
+        assert_eq!(line.cycles, 500);
+        drop(line);
+        sink.sweep_started("fig8", 36);
+        let line = sink.line();
+        assert_eq!(
+            (line.artifact.as_str(), line.points, line.done, line.cycles),
+            ("fig8", 36, 0, 0)
+        );
     }
 }

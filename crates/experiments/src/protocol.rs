@@ -9,10 +9,11 @@
 //!
 //! The message shapes are deliberately **flat**: one struct per
 //! direction, an `op`/`state` discriminator string, and `Option` fields
-//! that each operation fills or leaves `null`. Every field is always
-//! present on the wire (the derive-generated readers treat a missing
-//! field as an error), which keeps the protocol self-describing and
-//! trivially greppable in a transcript.
+//! that each operation fills or leaves `null`. The Rust client writes
+//! every field, which keeps a transcript self-describing and greppable;
+//! the readers take an absent `Option` field as `None`, so another client
+//! may send only what its operation needs (`{"op":"ping"}` is a complete
+//! request). A missing non-`Option` field (`op`) is an error.
 //!
 //! Operations:
 //!

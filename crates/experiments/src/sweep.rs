@@ -1,35 +1,23 @@
 //! Parallel experiment sweeps.
 //!
 //! Every artifact module expands its grid (benchmark × scheme × size …)
-//! into a list of [`SweepPoint`]s and hands them to [`run`], which
-//! evaluates them on a worker pool of scoped threads and merges the
+//! into a list of [`SweepPoint`]s and hands them to [`run_progress`],
+//! which evaluates them on a worker pool of scoped threads and merges the
 //! [`SweepResult`]s back **in input order**. Each point is a pure function
 //! of the experiment configuration, so the merged output is byte-identical
 //! no matter how many workers ran the sweep or in which order the points
 //! finished — `--jobs 1` and `--jobs 8` produce the same tables and CSVs.
 //!
 //! Each sweep also records a [`SweepStats`] entry (wall-clock, simulated
-//! cycles, throughput) in a process-wide ledger; the CLI drains it with
-//! [`take_stats`] and writes `BENCH_sweep.json`.
+//! cycles, throughput) in a process-wide ledger; callers drain it with
+//! [`take_stats`]. The sweep itself writes nothing: live progress goes to
+//! the caller's [`ProgressSink`], and the CLI prints the drained stats.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use serde::{Deserialize, Serialize};
-
 use crate::progress::ProgressSink;
-
-/// Whether [`run`] paints a live progress line to stderr (`--progress`).
-/// Stderr-only by design: stdout carries the deterministic tables and
-/// must stay byte-identical with or without the flag.
-static PROGRESS: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the live stderr progress line for subsequent
-/// sweeps (process-wide; the CLI sets it once from `--progress`).
-pub fn set_progress(on: bool) {
-    PROGRESS.store(on, Ordering::Relaxed);
-}
 
 /// One point of a sweep grid: a display label plus the evaluator input.
 #[derive(Debug, Clone)]
@@ -118,6 +106,23 @@ impl SweepStats {
     }
 }
 
+/// The one-line throughput summary the CLI prints after each artifact.
+impl std::fmt::Display for SweepStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "[sweep {}: {} points on {} jobs, {:.2}s wall, {} sim cycles, {:.1} points/s, {:.3e} cycles/s]",
+            self.sweep,
+            self.points,
+            self.jobs,
+            self.wall_seconds,
+            self.simulated_cycles,
+            self.points_per_second(),
+            self.cycles_per_second(),
+        )
+    }
+}
+
 static LEDGER: Mutex<Vec<SweepStats>> = Mutex::new(Vec::new());
 
 /// Drains and returns the stats of every sweep run since the last call
@@ -134,22 +139,11 @@ pub fn take_stats() -> Vec<SweepStats> {
 /// input order. `jobs` is clamped to `[1, points.len()]`; the merged
 /// output is independent of the worker count.
 ///
-/// Prints one throughput line per sweep and appends a [`SweepStats`]
+/// The optional [`ProgressSink`] hears `sweep_started(name, points)`
+/// before evaluation begins and one `point_done(label)` per finished
+/// point, from whichever worker thread finished it. The returned values
+/// are identical with and without a sink. Appends one [`SweepStats`]
 /// record to the process-wide ledger.
-pub fn run<I, T, F>(name: &str, jobs: usize, points: Vec<SweepPoint<I>>, eval: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> SweepResult<T> + Sync,
-{
-    run_progress(name, jobs, None, points, eval)
-}
-
-/// [`run`] with an optional [`ProgressSink`]: the sink hears
-/// `sweep_started(name, points)` before evaluation begins and one
-/// `point_done(label)` per finished point, from whichever worker thread
-/// finished it. The returned values — and every byte of stdout — are
-/// identical with and without a sink.
 pub fn run_progress<I, T, F>(
     name: &str,
     jobs: usize,
@@ -173,16 +167,11 @@ where
     // results into its point's dedicated slot, so completion order never
     // influences the merge below.
     let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let cycles_done = AtomicU64::new(0);
-    let progress = PROGRESS.load(Ordering::Relaxed);
     let slots: Vec<Mutex<Option<SweepResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let points = &points;
     let eval = &eval;
     let slots_ref = &slots;
     let next_ref = &next;
-    let done_ref = &done;
-    let cycles_ref = &cycles_done;
     std::thread::scope(|s| {
         for _ in 0..jobs {
             s.spawn(move || loop {
@@ -191,28 +180,13 @@ where
                     break;
                 }
                 let result = eval(&points[i].input);
-                let cycles = result.simulated_cycles;
                 *slots_ref[i].lock().unwrap() = Some(result);
                 if let Some(sink) = sink {
                     sink.point_done(&points[i].label);
                 }
-                if progress {
-                    let d = done_ref.fetch_add(1, Ordering::Relaxed) + 1;
-                    let c = cycles_ref.fetch_add(cycles, Ordering::Relaxed) + cycles;
-                    let secs = t0.elapsed().as_secs_f64();
-                    let rate = if secs > 0.0 { c as f64 / secs } else { 0.0 };
-                    eprint!(
-                        "\r[{name}] {d}/{n} points, {rate:.3e} cycles/s, peak RSS {} KB ",
-                        peak_rss_kb()
-                    );
-                }
             });
         }
     });
-    if progress && n > 0 {
-        // Clear the live line; the deterministic summary goes to stdout.
-        eprint!("\r{:79}\r", "");
-    }
 
     let mut values = Vec::with_capacity(n);
     let mut simulated_cycles = 0u64;
@@ -230,193 +204,8 @@ where
         simulated_cycles,
         peak_rss_kb: peak_rss_kb(),
     };
-    println!(
-        "[sweep {}: {} points on {} jobs, {:.2}s wall, {} sim cycles, {:.1} points/s, {:.3e} cycles/s]",
-        stats.sweep,
-        stats.points,
-        stats.jobs,
-        stats.wall_seconds,
-        stats.simulated_cycles,
-        stats.points_per_second(),
-        stats.cycles_per_second(),
-    );
     LEDGER.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(stats);
     values
-}
-
-/// The run-wide context `BENCH_sweep.json` records next to the sweep
-/// stats, so a throughput figure is never separated from the machine
-/// size and worker count that produced it.
-#[derive(Debug, Clone, Copy)]
-pub struct BenchContext {
-    /// Sweep worker threads (the resolved `--jobs` value).
-    pub jobs: usize,
-    /// Node count of the machine under test (`--nodes`).
-    pub nodes: u64,
-    /// The process code fingerprint (see [`crate::cache::code_fingerprint`]):
-    /// ties the recorded throughput to the code revision that produced
-    /// it, and matches the fingerprint of any cache entries the run
-    /// read or wrote.
-    pub code_fingerprint: &'static str,
-}
-
-/// One point of the cross-PR throughput trajectory: which build produced
-/// it, how fast it ran, and how much memory it peaked at. Every run of
-/// the CLI appends one of these to `BENCH_sweep.json`'s `history` array
-/// (deduplicated per fingerprint, latest wins), so the file carries the
-/// cycles/s trend across revisions instead of only the latest number.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchHistoryEntry {
-    /// Code fingerprint of the build that produced the figure.
-    pub fingerprint: String,
-    /// Aggregate simulated cycles per wall-clock second of the run.
-    pub cycles_per_sec: f64,
-    /// Peak RSS of the run in kilobytes.
-    pub peak_rss_kb: u64,
-}
-
-/// The slice of a previously written `BENCH_sweep.json` the next run
-/// carries forward (every other field is regenerated). The top-level
-/// fields migrate files from before the `history` array existed: their
-/// single headline figure becomes the first trajectory point.
-#[derive(Debug, Default)]
-struct PriorBench {
-    history: Option<Vec<BenchHistoryEntry>>,
-    code_fingerprint: Option<String>,
-    total_cycles_per_second: Option<f64>,
-    max_peak_rss_kb: Option<u64>,
-}
-
-// Hand-written rather than derived: the vendored derive treats every
-// field as required (absence is a missing-field error even for
-// `Option`), but this struct exists precisely to read files where any
-// of these fields may be absent.
-impl serde::de::Deserialize for PriorBench {
-    fn deserialize<D: serde::de::Deserializer>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl serde::de::Visitor for V {
-            type Value = PriorBench;
-
-            fn expecting(&self) -> &'static str {
-                "struct PriorBench"
-            }
-
-            fn visit_map<A: serde::de::MapAccess>(
-                self,
-                mut map: A,
-            ) -> Result<PriorBench, A::Error> {
-                let mut out = PriorBench::default();
-                while let Some(key) = map.next_key()? {
-                    match key.as_str() {
-                        "history" => out.history = Some(map.next_value()?),
-                        "code_fingerprint" => out.code_fingerprint = Some(map.next_value()?),
-                        "total_cycles_per_second" => {
-                            out.total_cycles_per_second = Some(map.next_value()?);
-                        }
-                        "max_peak_rss_kb" => out.max_peak_rss_kb = Some(map.next_value()?),
-                        _ => {
-                            let _: serde::de::IgnoredAny = map.next_value()?;
-                        }
-                    }
-                }
-                Ok(out)
-            }
-        }
-        deserializer.deserialize_struct(
-            "PriorBench",
-            &["history", "code_fingerprint", "total_cycles_per_second", "max_peak_rss_kb"],
-            V,
-        )
-    }
-}
-
-/// Extracts the `history` array from a previously written
-/// `BENCH_sweep.json`. Files from before the array existed contribute
-/// their headline figure as a synthesized single entry, so no recorded
-/// point is lost to the format change; malformed files yield an empty
-/// trajectory (a corrupt bench report should never fail a sweep, it
-/// just restarts the trend).
-pub fn prior_history(json: &str) -> Vec<BenchHistoryEntry> {
-    let Ok(prior) = vcoma::metrics::json::from_json_str::<PriorBench>(json) else {
-        return Vec::new();
-    };
-    if let Some(history) = prior.history {
-        return history;
-    }
-    match (prior.code_fingerprint, prior.total_cycles_per_second) {
-        (Some(fingerprint), Some(cycles_per_sec)) => vec![BenchHistoryEntry {
-            fingerprint,
-            cycles_per_sec,
-            peak_rss_kb: prior.max_peak_rss_kb.unwrap_or(0),
-        }],
-        _ => Vec::new(),
-    }
-}
-
-/// Renders sweep stats as the `BENCH_sweep.json` document: the run
-/// context, overall wall-clock, one record per sweep, plus the carried
-/// `history` trajectory with this run appended. Hand-rolled JSON — the
-/// workspace takes no serialisation dependency.
-pub fn bench_json(stats: &[SweepStats], ctx: BenchContext, prior: &[BenchHistoryEntry]) -> String {
-    let total_wall: f64 = stats.iter().map(|s| s.wall_seconds).sum();
-    let total_cycles: u64 = stats.iter().map(|s| s.simulated_cycles).sum();
-    let total_points: usize = stats.iter().map(|s| s.points).sum();
-    let max_rss: u64 = stats.iter().map(|s| s.peak_rss_kb).max().unwrap_or(0);
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"jobs\": {},\n", ctx.jobs));
-    out.push_str(&format!("  \"nodes\": {},\n", ctx.nodes));
-    out.push_str(&format!("  \"code_fingerprint\": \"{}\",\n", ctx.code_fingerprint));
-    out.push_str(&format!("  \"total_wall_seconds\": {total_wall:.6},\n"));
-    out.push_str(&format!("  \"total_points\": {total_points},\n"));
-    out.push_str(&format!("  \"total_simulated_cycles\": {total_cycles},\n"));
-    out.push_str(&format!(
-        "  \"total_cycles_per_second\": {:.3},\n",
-        if total_wall > 0.0 { total_cycles as f64 / total_wall } else { 0.0 }
-    ));
-    out.push_str(&format!("  \"max_peak_rss_kb\": {max_rss},\n"));
-    out.push_str("  \"sweeps\": [\n");
-    for (i, s) in stats.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"sweep\": \"{}\", \"points\": {}, \"jobs\": {}, \"wall_seconds\": {:.6}, \
-             \"simulated_cycles\": {}, \"points_per_second\": {:.3}, \"cycles_per_second\": {:.3}, \
-             \"peak_rss_kb\": {}}}{}\n",
-            s.sweep,
-            s.points,
-            s.jobs,
-            s.wall_seconds,
-            s.simulated_cycles,
-            s.points_per_second(),
-            s.cycles_per_second(),
-            s.peak_rss_kb,
-            if i + 1 < stats.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    // The trajectory: prior entries (minus any from this same build —
-    // re-running a build updates its point rather than duplicating it)
-    // with this run appended.
-    let current = BenchHistoryEntry {
-        fingerprint: ctx.code_fingerprint.to_string(),
-        cycles_per_sec: if total_wall > 0.0 { total_cycles as f64 / total_wall } else { 0.0 },
-        peak_rss_kb: max_rss,
-    };
-    let history: Vec<&BenchHistoryEntry> = prior
-        .iter()
-        .filter(|e| e.fingerprint != current.fingerprint)
-        .chain(std::iter::once(&current))
-        .collect();
-    out.push_str("  \"history\": [\n");
-    for (i, e) in history.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fingerprint\": \"{}\", \"cycles_per_sec\": {:.3}, \"peak_rss_kb\": {}}}{}\n",
-            e.fingerprint,
-            e.cycles_per_sec,
-            e.peak_rss_kb,
-            if i + 1 < history.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -430,7 +219,7 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         for jobs in [1, 2, 7, 64] {
-            let out = run("test_order", jobs, square_points(23), |&i| {
+            let out = run_progress("test_order", jobs, None, square_points(23), |&i| {
                 // Skew the per-point latency so completion order differs
                 // from input order under real parallelism.
                 if i % 3 == 0 {
@@ -444,8 +233,9 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let serial = run("test_serial", 1, square_points(17), |&i| SweepResult::new(i * 7, 0));
-        let parallel = run("test_parallel", 8, square_points(17), |&i| SweepResult::new(i * 7, 0));
+        let eval = |&i: &u64| SweepResult::new(i * 7, 0);
+        let serial = run_progress("test_serial", 1, None, square_points(17), eval);
+        let parallel = run_progress("test_parallel", 8, None, square_points(17), eval);
         assert_eq!(serial, parallel);
     }
 
@@ -480,115 +270,22 @@ mod tests {
 
     #[test]
     fn empty_sweep_is_fine() {
-        let out: Vec<u64> = run("test_empty", 4, Vec::<SweepPoint<u64>>::new(), |&i| {
-            SweepResult::new(i, 0)
-        });
+        let none = Vec::<SweepPoint<u64>>::new();
+        let out: Vec<u64> = run_progress("test_empty", 4, None, none, |&i| SweepResult::new(i, 0));
         assert!(out.is_empty());
     }
 
     #[test]
     fn stats_accumulate_cycles() {
         take_stats(); // other tests share the process-wide ledger
-        let _ = run("test_stats", 2, square_points(5), |&i| SweepResult::new(i, 100));
+        let eval = |&i: &u64| SweepResult::new(i, 100);
+        let _ = run_progress("test_stats", 2, None, square_points(5), eval);
         let stats = take_stats();
         let s = stats.iter().find(|s| s.sweep == "test_stats").expect("ledger entry");
         assert_eq!(s.points, 5);
         assert_eq!(s.simulated_cycles, 500);
         assert!(s.wall_seconds >= 0.0);
         assert!(s.jobs <= 2);
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let stats = vec![
-            SweepStats {
-                sweep: "fig8".into(),
-                points: 36,
-                jobs: 4,
-                wall_seconds: 1.5,
-                simulated_cycles: 3_000_000,
-                peak_rss_kb: 18_000,
-            },
-            SweepStats {
-                sweep: "table2".into(),
-                points: 30,
-                jobs: 4,
-                wall_seconds: 0.5,
-                simulated_cycles: 1_000_000,
-                peak_rss_kb: 20_000,
-            },
-        ];
-        let j = bench_json(
-            &stats,
-            BenchContext {
-                jobs: 4,
-                nodes: 64,
-                code_fingerprint: crate::cache::code_fingerprint(),
-            },
-            &[],
-        );
-        assert!(j.contains("\"sweeps\": ["));
-        assert!(j.contains("\"nodes\": 64"));
-        assert!(j.contains(&format!(
-            "\"code_fingerprint\": \"{}\"",
-            crate::cache::code_fingerprint()
-        )));
-        assert!(j.contains("\"sweep\": \"fig8\""));
-        assert!(j.contains("\"total_points\": 66"));
-        assert!(j.contains("\"total_simulated_cycles\": 4000000"));
-        assert!(j.contains("\"max_peak_rss_kb\": 20000"));
-        assert!(j.contains("\"peak_rss_kb\": 18000"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches("\"sweep\":").count(), 2);
-    }
-
-    #[test]
-    fn bench_history_accumulates_across_runs() {
-        let stats = vec![SweepStats {
-            sweep: "fig8".into(),
-            points: 10,
-            jobs: 2,
-            wall_seconds: 2.0,
-            simulated_cycles: 1_000_000,
-            peak_rss_kb: 5_000,
-        }];
-        let ctx = BenchContext {
-            jobs: 2,
-            nodes: 32,
-            code_fingerprint: crate::cache::code_fingerprint(),
-        };
-        let older = vec![BenchHistoryEntry {
-            fingerprint: "0.0.9-deadbeef".into(),
-            cycles_per_sec: 123_456.0,
-            peak_rss_kb: 9_000,
-        }];
-        let first = bench_json(&stats, ctx, &older);
-        let after_first = prior_history(&first);
-        assert_eq!(after_first.len(), 2, "prior entry carried, this run appended");
-        assert_eq!(after_first[0], older[0]);
-        assert_eq!(after_first[1].fingerprint, crate::cache::code_fingerprint());
-        assert_eq!(after_first[1].cycles_per_sec, 500_000.0);
-        assert_eq!(after_first[1].peak_rss_kb, 5_000);
-
-        // A second run of the same build replaces its own point instead
-        // of duplicating it; foreign fingerprints are never dropped.
-        let second = bench_json(&stats, ctx, &after_first);
-        let after_second = prior_history(&second);
-        assert_eq!(after_second, after_first);
-
-        // Files from before the history array existed contribute their
-        // headline figure as the first trajectory point.
-        let old_format = "{\"jobs\": 8, \"code_fingerprint\": \"0.1.0-cafe\", \
-             \"total_cycles_per_second\": 58322308.491, \"max_peak_rss_kb\": 379268}";
-        let migrated = prior_history(old_format);
-        assert_eq!(migrated.len(), 1);
-        assert_eq!(migrated[0].fingerprint, "0.1.0-cafe");
-        assert_eq!(migrated[0].cycles_per_sec, 58322308.491);
-        assert_eq!(migrated[0].peak_rss_kb, 379268);
-
-        // Headline-less or malformed files restart the trajectory.
-        assert!(prior_history("{\"jobs\": 4}").is_empty());
-        assert!(prior_history("not json at all").is_empty());
     }
 
     #[test]

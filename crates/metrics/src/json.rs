@@ -733,7 +733,7 @@ impl MapAccess for JsonMapAccess<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Event, MetricsRegistry};
+    use crate::{Event, EventRing, Histogram, MetricsSnapshot};
     use serde::Serialize;
     use std::collections::BTreeMap;
 
@@ -840,6 +840,19 @@ mod tests {
     }
 
     #[test]
+    fn absent_option_fields_read_as_none() {
+        let v: Round = from_json_str(
+            r#"{"hits":2,"delta":0,"ratio":0.5,"label":"","series":[],"nested":{}}"#,
+        )
+        .unwrap();
+        assert_eq!((v.hits, v.maybe, v.absent), (2, None, None));
+        // A missing non-`Option` field is still an error.
+        let no_hits = r#"{"delta":0,"ratio":0.5,"label":"","series":[],"nested":{}}"#;
+        let err = from_json_str::<Round>(no_hits).unwrap_err();
+        assert!(err.message.contains("missing field `hits`"), "{err}");
+    }
+
+    #[test]
     fn reader_reports_malformed_input() {
         assert!(from_json_str::<u64>("12 34").is_err());
         assert!(from_json_str::<u64>("").is_err());
@@ -885,16 +898,22 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_serializes_end_to_end() {
-        let mut reg = MetricsRegistry::new(4);
-        reg.count("reads", 3);
-        reg.observe("latency", 74);
-        reg.trace(Event { cycle: 10, node: 2, kind: "tlb_miss", addr: 0x1000 });
-        let json = to_json_pretty(&reg.snapshot()).unwrap();
+        let mut ring = EventRing::new(4);
+        ring.push(Event { cycle: 10, node: 2, kind: "tlb_miss", addr: 0x1000 });
+        let mut latency = Histogram::default();
+        latency.record(74);
+        let snap = MetricsSnapshot {
+            counters: BTreeMap::from([("reads".to_string(), 3)]),
+            histograms: BTreeMap::from([("latency".to_string(), latency.snapshot())]),
+            events: ring.snapshot(),
+            ..MetricsSnapshot::default()
+        };
+        let json = to_json_pretty(&snap).unwrap();
         assert!(json.contains("\"reads\": 3"));
         assert!(json.contains("\"latency\""));
         assert!(json.contains("\"tlb_miss\""));
         assert!(json.contains("\"dropped_events\": 0"));
         // Deterministic: serializing twice yields identical bytes.
-        assert_eq!(json, to_json_pretty(&reg.snapshot()).unwrap());
+        assert_eq!(json, to_json_pretty(&snap).unwrap());
     }
 }

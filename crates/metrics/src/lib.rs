@@ -12,14 +12,13 @@
 //!   cycle counts, cheap enough to live on the simulation fast path.
 //! * [`EventRing`] — a bounded, cycle-stamped structured event buffer
 //!   with an overwrite-oldest policy and a drop counter.
-//! * [`MetricsRegistry`] — named counters, gauges and histograms keyed by
-//!   `&'static str`, snapshotted into the serializable
-//!   [`MetricsSnapshot`].
+//! * [`MetricsSnapshot`] — the serializable, mergeable named counters,
+//!   gauges and histograms a run reports.
 //! * [`Span`] / [`SpanBuffer`] / [`SpanSampler`] — causal span trees for
 //!   deterministically sampled transactions, with the
 //!   [`critical_paths`] analyzer and a Chrome-trace/Perfetto JSON
 //!   exporter in [`trace_export`].
-//! * [`prometheus::PrometheusExposer`] — renders registries and ad-hoc
+//! * [`prometheus::PrometheusExposer`] — renders snapshots and ad-hoc
 //!   series into Prometheus text exposition for `/metrics` endpoints.
 //!
 //! Snapshots serialize to deterministic pretty-printed JSON through
@@ -41,7 +40,7 @@ pub mod trace_export;
 pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
 pub use intern::intern;
 pub use mergeable::Mergeable;
-pub use registry::{MetricsRegistry, MetricsSnapshot};
+pub use registry::MetricsSnapshot;
 pub use ring::{Event, EventRing, EventSnapshot};
 pub use span::{
     critical_paths, Span, SpanBuffer, SpanCategory, SpanId, SpanSampler, TraceSnapshot,

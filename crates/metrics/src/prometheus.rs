@@ -14,7 +14,7 @@
 //! can't violate them:
 //!
 //! * metric names are sanitised to `[a-zA-Z_:][a-zA-Z0-9_:]*` (the
-//!   registry's dotted names like `protocol.read_miss` become
+//!   snapshot's dotted names like `protocol.read_miss` become
 //!   `protocol_read_miss`);
 //! * label values are escaped (`\` → `\\`, `"` → `\"`, newline → `\n`),
 //!   `# HELP` text likewise;
@@ -159,7 +159,7 @@ impl PrometheusExposer {
 
     /// Renders a whole [`MetricsSnapshot`] under `prefix`: counters as
     /// `{prefix}_{name}_total`, gauges as `{prefix}_{name}`, histograms
-    /// as `{prefix}_{name}` histogram series — dotted registry names
+    /// as `{prefix}_{name}` histogram series — dotted snapshot names
     /// sanitised, in deterministic key order.
     pub fn snapshot(&mut self, prefix: &str, snap: &MetricsSnapshot) {
         for (name, value) in &snap.counters {
@@ -285,7 +285,8 @@ pub fn validate_scrape(scrape: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MetricsRegistry;
+    use crate::{Histogram, MetricsSnapshot};
+    use std::collections::BTreeMap;
 
     #[test]
     fn names_are_sanitised_into_the_legal_charset() {
@@ -379,22 +380,28 @@ mod tests {
 
     #[test]
     fn snapshot_rendering_is_deterministic_and_valid() {
-        let mut reg = MetricsRegistry::new(4);
-        reg.count("protocol.read_miss", 7);
-        reg.count("tlb.l1.evict", 2);
-        reg.gauge("vm.pages", -3);
-        reg.observe("net.hops", 4);
+        let mut hops = Histogram::default();
+        hops.record(4);
+        let snap = MetricsSnapshot {
+            counters: BTreeMap::from([
+                ("protocol.read_miss".to_string(), 7),
+                ("tlb.l1.evict".to_string(), 2),
+            ]),
+            gauges: BTreeMap::from([("vm.pages".to_string(), -3)]),
+            histograms: BTreeMap::from([("net.hops".to_string(), hops.snapshot())]),
+            ..MetricsSnapshot::default()
+        };
         let mut exp = PrometheusExposer::new();
-        exp.snapshot("vcoma", &reg.snapshot());
+        exp.snapshot("vcoma", &snap);
         let text = exp.render();
         validate_scrape(&text).expect("valid scrape");
         assert!(text.contains("vcoma_protocol_read_miss_total 7"));
         assert!(text.contains("vcoma_tlb_l1_evict_total 2"));
         assert!(text.contains("vcoma_vm_pages -3"));
         assert!(text.contains("vcoma_net_hops_count 1"));
-        // Deterministic: same registry renders the same bytes.
+        // Deterministic: same snapshot renders the same bytes.
         let mut exp2 = PrometheusExposer::new();
-        exp2.snapshot("vcoma", &reg.snapshot());
+        exp2.snapshot("vcoma", &snap);
         assert_eq!(text, exp2.render());
     }
 

@@ -53,6 +53,11 @@ use vcoma_experiments::client::Endpoint;
 use vcoma_experiments::protocol::{CsvFile, Request, Response, PROTOCOL_VERSION};
 use vcoma_experiments::{artifacts, sweep, ExperimentConfig};
 
+/// Longest control-socket request line, newline excluded. A longer line
+/// gets one `malformed request` reply and the connection closes, so one
+/// client cannot grow the daemon's memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// Daemon configuration: where to listen, where the store lives, and
 /// the worker-pool shape every job runs with.
 #[derive(Debug, Clone)]
@@ -333,21 +338,40 @@ impl Daemon {
 
     fn handle_connection(self: Arc<Daemon>, stream: Stream) {
         vlog!(Level::Debug, "connect");
-        let Ok(write_half) = stream.try_clone() else { return };
-        let mut writer = write_half;
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { return };
-            if line.trim().is_empty() {
+        let Ok(mut writer) = stream.try_clone() else { return };
+        let mut reply = |resp: &Response| {
+            let Ok(mut out) = to_json_line(resp) else { return false };
+            out.push('\n');
+            writer.write_all(out.as_bytes()).and_then(|()| writer.flush()).is_ok()
+        };
+        let mut reader = BufReader::new(stream);
+        let mut raw = Vec::new();
+        loop {
+            raw.clear();
+            // One byte past the cap tells an overlong line from one that
+            // ends exactly at it.
+            let limit = MAX_REQUEST_BYTES as u64 + 1;
+            match (&mut reader).take(limit).read_until(b'\n', &mut raw) {
+                Ok(0) | Err(_) => return,
+                Ok(_) => {}
+            }
+            if raw.len() > MAX_REQUEST_BYTES && raw.last() != Some(&b'\n') {
+                vlog!(Level::Warn, "request-too-long", "limit_bytes={MAX_REQUEST_BYTES}");
+                reply(&Response::failure(format!(
+                    "malformed request: line exceeds {MAX_REQUEST_BYTES} bytes"
+                )));
+                return;
+            }
+            let Ok(line) = std::str::from_utf8(&raw) else { return };
+            let line = line.trim();
+            if line.is_empty() {
                 continue;
             }
-            let resp = match from_json_str::<Request>(&line) {
+            let resp = match from_json_str::<Request>(line) {
                 Ok(req) => self.dispatch(&req),
                 Err(e) => Response::failure(format!("malformed request: {e}")),
             };
-            let Ok(mut out) = to_json_line(&resp) else { return };
-            out.push('\n');
-            if writer.write_all(out.as_bytes()).and_then(|()| writer.flush()).is_err() {
+            if !reply(&resp) {
                 return;
             }
         }

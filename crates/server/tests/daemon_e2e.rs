@@ -16,9 +16,13 @@
 //!   same artifacts at `--jobs 1`;
 //! * malformed submissions fail with a message, not a dead connection;
 //! * a hostile, absurdly nested request line gets an error reply instead
-//!   of overflowing the reader's stack, and the daemon keeps serving.
+//!   of overflowing the reader's stack, and the daemon keeps serving;
+//! * a bare `{"op":"ping"}` (absent `Option` fields) is a complete request;
+//! * an overlong request line gets one error reply and a closed connection;
+//! * the `vcoma-sweepd` binary's stdout is only its readiness banner.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,7 +31,7 @@ use vcoma_experiments::cache::code_fingerprint;
 use vcoma_experiments::client::{Connection, Endpoint};
 use vcoma_experiments::protocol::{Request, Response, PROTOCOL_VERSION};
 use vcoma_experiments::{artifacts, ExperimentConfig};
-use vcoma_server::daemon::{Daemon, DaemonConfig};
+use vcoma_server::daemon::{Daemon, DaemonConfig, MAX_REQUEST_BYTES};
 
 const SCALE: f64 = 0.005;
 const SEED: u64 = 0x5EED;
@@ -57,19 +61,23 @@ impl RunningDaemon {
     }
 
     fn connect(&self) -> Connection {
-        for _ in 0..500 {
-            if let Ok(conn) = Connection::connect(&self.endpoint) {
-                return conn;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        panic!("daemon never started listening on {}", self.endpoint);
+        connect(&self.endpoint)
     }
 
     fn stop(self) {
         self.daemon.request_shutdown();
         self.thread.join().expect("serve thread");
     }
+}
+
+fn connect(endpoint: &Endpoint) -> Connection {
+    for _ in 0..500 {
+        if let Ok(conn) = Connection::connect(endpoint) {
+            return conn;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    panic!("daemon never started listening on {endpoint}");
 }
 
 fn submit_request() -> Request {
@@ -251,10 +259,94 @@ fn deeply_nested_request_is_an_error_reply_not_a_crash() {
     let error = resp.error.expect("message");
     assert!(error.contains("malformed request") && error.contains("nesting"), "{error}");
 
+    // The connection survives the bad line, and a bare ping — every
+    // `Option` field absent — is a complete request.
+    raw.write_all(b"{\"op\":\"ping\"}\n").expect("send bare ping");
+    let mut reply = String::new();
+    BufReader::new(&raw).read_line(&mut reply).expect("read ping reply");
+    let resp: Response = from_json_str(reply.trim_end()).expect("reply is a protocol response");
+    assert!(resp.ok, "bare ping rejected: {:?}", resp.error);
+    assert_eq!(resp.protocol, Some(PROTOCOL_VERSION));
+
     // The daemon is still alive: a fresh connection gets a normal reply.
     let mut conn = server.connect();
     let ping = ok(conn.request(&Request::new("ping")));
     assert_eq!(ping.protocol, Some(PROTOCOL_VERSION));
     server.stop();
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+#[test]
+fn overlong_request_line_gets_one_error_reply_and_a_closed_connection() {
+    let base = std::env::temp_dir().join(format!("vcoma-daemon-long-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("test dir");
+    let socket = base.join("sweepd.sock");
+    let server = RunningDaemon::start(&socket, &base.join("store"));
+    drop(server.connect());
+
+    // 2 MiB with no newline. The daemon stops reading at the cap, so the
+    // tail of the write may fail once it hangs up.
+    let mut raw = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    let _ = raw.write_all(&vec![b' '; 2 * 1024 * 1024]);
+    let mut reader = BufReader::new(&raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("read reply");
+    let resp: Response = from_json_str(reply.trim_end()).expect("reply is a protocol response");
+    assert!(!resp.ok);
+    let error = resp.error.expect("message");
+    let want = format!("malformed request: line exceeds {MAX_REQUEST_BYTES} bytes");
+    assert_eq!(error, want);
+    // Then the daemon hangs up: end of stream, or a reset because it left
+    // the rest of the line unread.
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "a second reply: {rest:?}"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+
+    let mut conn = server.connect();
+    let ping = ok(conn.request(&Request::new("ping")));
+    assert_eq!(ping.protocol, Some(PROTOCOL_VERSION));
+    server.stop();
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Scripts wait for the daemon's one readiness line on stdout, so nothing
+/// else may land there: sweeps report through the job's progress sink.
+#[test]
+fn daemon_stdout_is_only_its_listening_banner() {
+    let base = std::env::temp_dir().join(format!("vcoma-daemon-stdout-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(&base).expect("test dir");
+    let socket = base.join("sweepd.sock");
+    let child = Command::new(env!("CARGO_BIN_EXE_vcoma-sweepd"))
+        .arg("--listen")
+        .arg(format!("unix:{}", socket.display()))
+        .arg("--store")
+        .arg(base.join("store"))
+        .args(["--jobs", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn vcoma-sweepd");
+
+    let mut conn = connect(&Endpoint::Unix(socket));
+    let mut req = Request::new("submit");
+    req.artifacts = Some(vec!["table1".to_string()]);
+    req.scale = Some(0.01);
+    let job = ok(conn.request(&req)).job.expect("job id");
+    wait_done(&mut conn, &job);
+    assert!(!fetch_files(&mut conn, &job).is_empty());
+    ok(conn.request(&Request::new("shutdown")));
+    drop(conn);
+
+    let out = child.wait_with_output().expect("daemon exits");
+    assert!(out.status.success(), "daemon exit: {}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 1, "stdout must be the banner alone: {stdout:?}");
+    assert!(lines[0].starts_with("vcoma-sweepd listening on "), "{stdout:?}");
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -12,7 +12,7 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use vcoma_cachesim::{Flc, Slc};
 use vcoma_coherence::{Access, HomeTranslation, NullTranslation, Protocol};
 use vcoma_faults::LinkFaultInjector;
-use vcoma_metrics::{Event, Histogram, Mergeable, MetricsRegistry};
+use vcoma_metrics::{Event, EventRing, Histogram, Mergeable, MetricsSnapshot};
 use vcoma_net::{Crossbar, MsgKind};
 use vcoma_tlb::{AllocPolicy, ModelParams, TranslationModel, XlatePoint};
 use vcoma_types::{AccessKind, MachineConfig, NodeId, Op, OpSource, VAddr, VPage};
@@ -133,7 +133,7 @@ pub struct Machine {
     audited_txns: u64,
     /// Machine-level traced events (TLB/DLB misses, shootdowns,
     /// swap-outs). Observation-only — never feeds back into timing.
-    metrics: MetricsRegistry,
+    events: EventRing,
     /// Per-request latency histograms, reported as `latency.read` and
     /// `latency.write`. Typed fields, so the per-reference path does no
     /// string-keyed map work.
@@ -185,7 +185,7 @@ impl PhysAlloc {
 /// page number would collapse all of a home's pages into a single set.
 struct DlbHook<'a> {
     nodes: &'a mut [NodeCtx],
-    metrics: &'a mut MetricsRegistry,
+    events: &'a mut EventRing,
     blocks_per_page: u64,
     node_count: u64,
     now: u64,
@@ -196,7 +196,7 @@ impl HomeTranslation for DlbHook<'_> {
         let key = VPage::new(block / self.blocks_per_page / self.node_count);
         let x = self.nodes[home.index()].xlb.lookup(key);
         if x.missed {
-            self.metrics.trace(Event {
+            self.events.push(Event {
                 cycle: self.now,
                 node: home.raw(),
                 kind: "dlb_miss",
@@ -271,7 +271,7 @@ impl Machine {
             locks: Locks::new(LOCK_ACQUIRE_COST, LOCK_RELEASE_COST),
             page_faults: 0,
             audited_txns: 0,
-            metrics: MetricsRegistry::new(cfg.event_capacity),
+            events: EventRing::new(cfg.event_capacity),
             latency_read: Histogram::default(),
             latency_write: Histogram::default(),
             tracer: cfg.trace.map(|tc| Tracer::new(tc, cfg.seed, m.nodes as usize)),
@@ -362,7 +362,7 @@ impl Machine {
         }
         self.protocol.reset_stats();
         self.net.reset_stats();
-        self.metrics.reset();
+        self.events.clear();
         self.latency_read = Histogram::default();
         self.latency_write = Histogram::default();
         if let Some(tr) = self.tracer.as_mut() {
@@ -610,7 +610,7 @@ impl Machine {
                     let penalty = x.cycles;
                     t += penalty;
                     self.nodes[n].fine.tlb_walk += penalty;
-                    self.metrics.trace(Event {
+                    self.events.push(Event {
                         cycle: t,
                         node: n as u16,
                         kind: "tlb_miss",
@@ -769,12 +769,12 @@ impl Machine {
     }
 
     /// Packages an invariant violation with the cycle-stamped event trace
-    /// from the metrics ring.
+    /// from the event ring.
     fn audit_failure(&self, cycle: u64, message: String) -> SimError {
         SimError::Audit(Box::new(AuditError {
             cycle,
             message,
-            trace: self.metrics.events().snapshot(),
+            trace: self.events.snapshot(),
         }))
     }
 
@@ -819,7 +819,7 @@ impl Machine {
             }
             arrive = last_ack.max(self.net.send(home, node_id, MsgKind::Ack, arrive));
             self.nodes[n].fine.dlb_lookup += arrive - t;
-            self.metrics.trace(Event {
+            self.events.push(Event {
                 cycle: arrive,
                 node: home.raw(),
                 kind: "shootdown",
@@ -836,7 +836,7 @@ impl Machine {
             }
             let cost = 2 * timing.net_request;
             self.nodes[n].fine.tlb_walk += cost;
-            self.metrics.trace(Event {
+            self.events.push(Event {
                 cycle: t + cost,
                 node: n as u16,
                 kind: "shootdown",
@@ -877,7 +877,7 @@ impl Machine {
                     self.dir_alloc.swap_out(victim, &cfg).expect("victim was resident");
                     self.page_table.unmap(victim).expect("victim was mapped");
                     self.page_faults += 1;
-                    self.metrics.trace(Event {
+                    self.events.push(Event {
                         cycle: self.nodes[n].time,
                         node: n as u16,
                         kind: "swap_out",
@@ -939,7 +939,7 @@ impl Machine {
         self.phys_alloc.as_mut().release(frame);
         self.page_table.unmap(victim).expect("victim was mapped");
         self.page_faults += 1;
-        self.metrics.trace(Event {
+        self.events.push(Event {
             cycle: self.nodes[n].time,
             node: n as u16,
             kind: "swap_out",
@@ -976,7 +976,7 @@ impl Machine {
             let node_count = self.cfg.machine.nodes;
             let mut hook = DlbHook {
                 nodes: &mut self.nodes,
-                metrics: &mut self.metrics,
+                events: &mut self.events,
                 blocks_per_page,
                 node_count,
                 now,
@@ -1015,7 +1015,7 @@ impl Machine {
             let penalty = x.cycles;
             *t += penalty;
             self.nodes[n].fine.tlb_walk += penalty;
-            self.metrics.trace(Event {
+            self.events.push(Event {
                 cycle: *t,
                 node: n as u16,
                 kind: "tlb_miss",
@@ -1047,7 +1047,11 @@ impl Machine {
     fn into_report(self) -> SimReport {
         let pressure =
             PressureProfile::from_pages(self.page_table.iter().map(|(p, _)| p), &self.cfg.machine);
-        let mut metrics = self.metrics.snapshot();
+        let mut metrics = MetricsSnapshot {
+            events: self.events.snapshot(),
+            dropped_events: self.events.dropped(),
+            ..MetricsSnapshot::default()
+        };
         let latencies =
             [("latency.read", &self.latency_read), ("latency.write", &self.latency_write)];
         for (name, h) in latencies {

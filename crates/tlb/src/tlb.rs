@@ -530,6 +530,34 @@ mod tests {
         }
     }
 
+    /// Random lookups against an `entries`-entry fully-associative TLB
+    /// over a working set 1.5x its capacity, so the stream mixes hits,
+    /// capacity misses and refills; every 64th lookup also shoots its page
+    /// down. The miss count depends on every victim the random
+    /// replacement draws and on the slot order shootdowns leave.
+    fn fa_lookup(entries: u64, iters: u64) -> u64 {
+        let mut tlb = Tlb::new(entries, TlbOrg::FullyAssociative, 7);
+        let mut rng = DetRng::new(42);
+        let working_set = (entries + entries / 2) as usize;
+        for i in 0..iters {
+            let page = VPage::new(rng.gen_index(working_set) as u64);
+            tlb.translate(page);
+            if i % 64 == 63 {
+                tlb.shootdown(page);
+            }
+        }
+        tlb.stats().misses
+    }
+
+    #[test]
+    fn tlb_checksums_are_pinned() {
+        // Values of the pre-index one-set random-replacement array: the
+        // indexed buffer must draw the same victims and keep the same
+        // slot order.
+        assert_eq!(fa_lookup(64, 200_000), 67_034);
+        assert_eq!(fa_lookup(512, 200_000), 66_992);
+    }
+
     #[test]
     fn stats_merge() {
         let mut a = TlbStats { accesses: 10, misses: 2, ..TlbStats::default() };

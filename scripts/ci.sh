@@ -41,12 +41,10 @@ cargo run --release -p vcoma-experiments -- table2 fig8 \
 diff -r "$out1" "$out2"
 echo "==> CSVs byte-identical across worker counts"
 
-echo "==> 64-node smoke: scale-up sweep records its cycles/s"
+echo "==> 64-node smoke: a scale-up sweep runs to completion"
 cargo run --release -p vcoma-experiments -- fig11 \
     --scale 0.01 --nodes 64 --out "$n64" --jobs 1
-grep -q '"nodes": 64' BENCH_sweep.json
-cp BENCH_sweep.json BENCH_sweep_64node.json
-echo "==> BENCH_sweep_64node.json records the 64-node run"
+echo "==> 64-node fig11 sweep exited 0"
 
 echo "==> table5 smoke: full scheme registry, --jobs 1 vs --jobs 8"
 t5a=$(mktemp -d)
@@ -80,54 +78,15 @@ set -e
 test "$status" -eq 2 || { echo "expected --schemes no_such_scheme to exit 2, got $status"; exit 1; }
 echo "==> table5 64-node filter exact; bad --schemes rejected"
 
-echo "==> bench smoke: streaming (jobs 2) vs materialized (--jobs 1) sweeps"
+echo "==> streaming (--jobs 2) vs materialized (--jobs 1) sweeps"
 # The materialized single-worker run is the oracle the streamed CSVs must
-# match byte-for-byte. It runs first: each run overwrites BENCH_sweep.json
-# in the working directory, and the streamed run's copy is the CI artifact.
+# match byte-for-byte.
 cargo run --release -p vcoma-experiments -- table1 table2 fig8 fig10 \
     --scale 0.01 --out "$outm" --jobs 1 --materialized
 cargo run --release -p vcoma-experiments -- table1 table2 fig8 fig10 \
     --scale 0.01 --out "$out2" --jobs 2
 diff -r "$out2" "$outm"
-test -s BENCH_sweep.json
-grep -q '"peak_rss_kb"' BENCH_sweep.json
-echo "==> streaming and materialized sweeps byte-identical; BENCH_sweep.json written"
-
-echo "==> hot-path micro-benchmarks: plain-timer harness must run every kernel"
-guard=""
-micro_out=$(mktemp)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64" "$t5a" "$t5b" "$t5n64" "$micro_out"' EXIT
-cargo bench -p vcoma-bench --bench hotpath_micro | tee "$micro_out"
-for label in tlb_lookup tlb_lookup_fa512 cache_probe access_v_coma access_l0_tlb; do
-    grep -q "bench hotpath_micro/${label}:" "$micro_out" \
-        || { echo "hotpath_micro never ran ${label}"; exit 1; }
-done
-echo "==> all micro-bench kernels ran under the plain-timer fallback"
-
-echo "==> perf guard: smoke-sweep cycles/s vs the committed baseline"
-# Compare a fresh run of the reference sweep against the committed
-# BENCH_sweep.json and fail on a >=30% cycles/s regression. The coarse
-# threshold absorbs machine-to-machine variance; it exists to catch the
-# hot path falling off a cliff, not a few percent of drift.
-if baseline=$(git show HEAD:BENCH_sweep.json 2>/dev/null \
-        | grep -o '"total_cycles_per_second": [0-9.]*' | awk '{print $2}') \
-        && [ -n "$baseline" ]; then
-    guard=$(mktemp -d)
-    trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64" "$t5a" "$t5b" "$t5n64" "$micro_out" "$guard"' EXIT
-    cargo run --release -p vcoma-experiments -- table2 fig8 \
-        --scale 0.1 --jobs 8 --out "$guard"
-    current=$(grep -o '"total_cycles_per_second": [0-9.]*' BENCH_sweep.json | awk '{print $2}')
-    awk -v b="$baseline" -v c="$current" 'BEGIN {
-        if (c < 0.7 * b) {
-            printf "perf guard: %.0f cycles/s is a >=30%% regression from the committed %.0f\n", c, b
-            exit 1
-        }
-        printf "perf guard ok: %.0f cycles/s vs committed baseline %.0f (%.1f%%)\n", c, b, 100 * c / b
-    }'
-    grep -q '"history"' BENCH_sweep.json
-else
-    echo "no committed BENCH_sweep.json baseline; skipping the guard"
-fi
+echo "==> streaming and materialized sweeps byte-identical"
 
 echo "==> fault-matrix smoke: every scheme under a lossy crossbar, auditor on"
 cargo run --release -p vcoma-experiments -- faults --scale 0.01 \
@@ -142,7 +101,7 @@ echo "==> fault sweeps byte-identical across worker counts"
 echo "==> trace smoke: critical-path table + Perfetto export, --jobs 1 vs --jobs 8"
 trace1=$(mktemp -d)
 trace8=$(mktemp -d)
-trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64" "$t5a" "$t5b" "$t5n64" "$micro_out" "$guard" "$trace1" "$trace8"' EXIT
+trap 'rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64" "$t5a" "$t5b" "$t5n64" "$trace1" "$trace8"' EXIT
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
     --out "$trace1" --trace-out "$trace1/trace.json" --jobs 1
 cargo run --release -p vcoma-experiments -- trace --scale 0.01 \
@@ -167,7 +126,7 @@ echo "==> sweep server: crash resume, 100% cache-hit resubmission, byte-diff vs 
 sw=$(mktemp -d)
 sweepd_pid=""
 sweepd_http="127.0.0.1:9188"
-trap 'kill "$sweepd_pid" 2>/dev/null || true; rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64" "$t5a" "$t5b" "$t5n64" "$micro_out" "$guard" "$trace1" "$trace8" "$sw"' EXIT
+trap 'kill "$sweepd_pid" 2>/dev/null || true; rm -rf "$out1" "$out2" "$outm" "$fault1" "$fault2" "$n64" "$t5a" "$t5b" "$t5n64" "$trace1" "$trace8" "$sw"' EXIT
 cargo build --release -p vcoma-server -p vcoma-experiments
 start_sweepd() {
     # A kill -9'd daemon leaves its socket file behind; clear it so the

@@ -2,7 +2,7 @@
 //! what it sheds, folds across parallel jobs, and surfaces overflow in a
 //! full simulation report.
 
-use vcoma::metrics::{Event, EventRing, EventSnapshot, Mergeable, MetricsRegistry};
+use vcoma::metrics::{Event, EventRing, EventSnapshot, Mergeable, MetricsSnapshot};
 use vcoma::workloads::{UniformRandom, Workload};
 use vcoma::{Machine, MachineConfig, Scheme, SimConfig};
 
@@ -36,14 +36,19 @@ fn zero_capacity_ring_drops_everything() {
 
 #[test]
 fn registry_snapshot_carries_the_drop_count_through_merge() {
-    let mut a = MetricsRegistry::new(4);
-    let mut b = MetricsRegistry::new(4);
+    let mut a = EventRing::new(4);
+    let mut b = EventRing::new(4);
     for c in 0..10 {
-        a.trace(event(c));
-        b.trace(event(100 + c));
+        a.push(event(c));
+        b.push(event(100 + c));
     }
-    let mut sa = a.snapshot();
-    let sb = b.snapshot();
+    let snapshot = |ring: &EventRing| MetricsSnapshot {
+        events: ring.snapshot(),
+        dropped_events: ring.dropped(),
+        ..MetricsSnapshot::default()
+    };
+    let mut sa = snapshot(&a);
+    let sb = snapshot(&b);
     assert_eq!(sa.dropped_events, 6);
     sa.merge(&sb);
     assert_eq!(sa.dropped_events, 12);
